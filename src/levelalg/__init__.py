@@ -1,11 +1,12 @@
 """Exact decision tools for level O-sequences in codimension 3.
 
 Given a candidate Hilbert function H = (1, 3, h_2, ..., h_s), the package
-constructs the lex-segment ideal with that Hilbert function, computes its
-graded Betti numbers combinatorially, and applies obstruction and
-construction criteria to decide whether an Artinian level algebra with
-Hilbert function H can exist.  All arithmetic is exact, and the brute-force
-:mod:`levelalg.oracle` module re-derives the key quantities independently.
+computes the graded Betti numbers of the lex-segment ideal with that Hilbert
+function from H alone, and applies obstruction and construction criteria to
+decide whether an Artinian level algebra with Hilbert function H can exist.
+All arithmetic is exact.  The lex-segment ideal itself is built only to
+verify those Betti numbers, and the brute-force :mod:`levelalg.oracle`
+module re-derives the key quantities independently.
 """
 
 from .binomials import (
@@ -36,6 +37,7 @@ from .monomials import (
 from .betti import (
     BettiDiagram,
     ek_betti,
+    lex_betti,
     lex_betti_window,
     numerator_check,
     render_diagram,
@@ -69,6 +71,7 @@ __all__ = [
     "green_macaulay_defect",
     "growth_violation",
     "iarrobino_lift",
+    "lex_betti",
     "lex_betti_window",
     "lex_compare",
     "lex_rank",

@@ -1,9 +1,15 @@
-"""Graded Betti numbers of stable monomial ideals and their closed forms.
+"""Graded Betti numbers of lex-segment and other stable monomial ideals.
 
 The minimal free resolution of a stable ideal is combinatorial: each minimal
 generator T of degree g contributes C(m(T)-1, q) to the Betti number in
 homological degree q and shift g + q.  In three variables the projective
 dimension of an ideal is at most 2, so diagrams carry q in {0, 1, 2}.
+
+For the lex-segment ideal of an h-vector the generator counts by degree and
+maximal variable follow from h alone, through the Macaulay and Green bounds,
+so :func:`lex_betti` never builds the ideal.  :func:`ek_betti` resolves an
+explicit ideal and, applied to :func:`~levelalg.monomials.lex_segment_ideal`,
+is the slow twin that verifies it.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binomials import binomial, green_bound, macaulay_bound
-from .hvectors import HVector
-from .monomials import MonomialIdeal, lex_segment_ideal, quotient_hf
+from .hvectors import HVector, require_codim3
+from .monomials import MonomialIdeal, quotient_hf
 
 
 @dataclass(frozen=True, eq=True)
@@ -26,20 +32,21 @@ class BettiDiagram:
     entries: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self):
-        seen = {}
+        table: dict[tuple[int, int], int] = {}
+        lowest: dict[int, int] = {}
         for (q, j), mult in self.entries:
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
             if not 0 <= q <= 2:
                 raise ValueError("homological index must be 0, 1, or 2")
-            if (q, j) in seen:
+            if (q, j) in table:
                 raise ValueError("duplicate (q, shift) entry")
-            seen[(q, j)] = mult
-        for (q, j) in seen:
-            if q >= 1 and not any(
-                qq == q - 1 and jj < j for (qq, jj) in seen
-            ):
+            table[(q, j)] = mult
+            lowest[q] = min(j, lowest.get(q, j))
+        for (q, j) in table:
+            if q >= 1 and not lowest.get(q - 1, j) < j:
                 raise ValueError(f"shift {j} at q={q} has no earlier syzygy below it")
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_dict(cls, data: dict[tuple[int, int], int]) -> "BettiDiagram":
@@ -47,10 +54,10 @@ class BettiDiagram:
         return cls(items)
 
     def beta(self, q: int, j: int) -> int:
-        return dict(self.entries).get((q, j), 0)
+        return self._table.get((q, j), 0)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
+        return dict(self._table)
 
     def total(self, q: int) -> int:
         return sum(mult for (qq, _), mult in self.entries if qq == q)
@@ -81,27 +88,45 @@ def ek_betti(ideal: MonomialIdeal) -> BettiDiagram:
     return BettiDiagram.from_dict(entries)
 
 
+def lex_betti(h: HVector) -> BettiDiagram:
+    """Graded Betti numbers of the lex-segment ideal of h, from h alone.
+
+    Let r_t = green_bound(h_t, t), the Hilbert function of the lex ideal
+    modulo x3, and h_{s+1} = 0.  In each degree g = 2..s+1 the ideal has
+    macaulay_bound(h_{g-1}, g-1) - h_g minimal generators.  Of these,
+    (g+1 - r_g) - (g - r_{g-1} + 1 if g > r_{g-1} else 0) avoid x3, and x1^g
+    is one exactly at the first g with h_g < C(g+2, 2).  Eliahou-Kervaire
+    turns these counts by maximal variable into Betti numbers.  h_1 = 3
+    leaves no linear generators, so the loop starts at g = 2 with
+    r_1 = green_bound(h_1, 1).  Requires an O-sequence with h_1 = 3.
+    """
+    require_codim3(h)
+    padded = h.entries + (0,)
+    entries: dict[tuple[int, int], int] = {}
+    r_prev = green_bound(padded[1], 1)
+    for g in range(2, len(padded)):
+        h_prev, h_g = padded[g - 1], padded[g]
+        r_g = green_bound(h_g, g)
+        total = macaulay_bound(h_prev, g - 1) - h_g
+        in_x1x2 = (g + 1 - r_g) - (g - r_prev + 1 if g > r_prev else 0)
+        in_x1 = int(h_g < binomial(g + 2, 2) and h_prev == binomial(g + 1, 2))
+        in_x2, in_x3 = in_x1x2 - in_x1, total - in_x1x2
+        entries[(0, g)] = total
+        entries[(1, g + 1)] = in_x2 + 2 * in_x3
+        entries[(2, g + 2)] = in_x3
+        r_prev = r_g
+    return BettiDiagram.from_dict(entries)
+
+
 def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
     """(beta_1 at d+2, beta_2 at d+2, beta_2 at d+3) for the lex ideal of h.
 
-    When h_d < C(d+2, 2) these come from the closed forms in terms of
-    Macaulay and Green bounds; otherwise the window falls back to the direct
-    resolution of the constructed lex ideal, which is always valid.
+    A slice of :func:`lex_betti`, so it comes from h alone.
     """
     if not 1 <= d <= h.socle_degree:
         raise ValueError("d must satisfy 1 <= d <= socle degree")
-    h_d, h_next = h.at(d), h.at(d + 1)
-    if h_d < binomial(d + 2, 2):
-        beta2 = h.at(d - 1) - h_d + green_bound(h_d, d)
-        beta1 = macaulay_bound(h_d, d) + h_d - 2 * h_next + green_bound(h_next, d + 1)
-        beta2_next = h_d - h_next + green_bound(h_next, d + 1)
-        return beta1, beta2, beta2_next
-    diagram = ek_betti(lex_segment_ideal(h))
-    return (
-        diagram.beta(1, d + 2),
-        diagram.beta(2, d + 2),
-        diagram.beta(2, d + 3),
-    )
+    diagram = lex_betti(h)
+    return diagram.beta(1, d + 2), diagram.beta(2, d + 2), diagram.beta(2, d + 3)
 
 
 def _quotient_vanishing_degree(ideal: MonomialIdeal) -> int:

@@ -43,9 +43,6 @@ class BinomialExpansion:
     def value(self) -> int:
         return sum(comb(top, idx) for top, idx in self.terms)
 
-    def shift(self, a: int, b: int) -> int:
-        return shift(self, a, b)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -1,12 +1,14 @@
 """Level / NotLevel / Unknown classification of codimension-3 h-vectors.
 
 Each obstruction rule inspects the graded Betti numbers of the lex-segment
-ideal (or the h-vector window around a degree d) and, when it fires, records
-a certificate holding every integer it compared, so the verdict can be
-replayed from the certificate alone.  If no obstruction fires and the vector
-is differentiable, it is a level O-sequence: any differentiable O-sequence is
-the truncation of a Gorenstein one.  Otherwise the honest answer is Unknown;
-the implemented criteria are not a complete classification.
+ideal, computed from h alone by :func:`~levelalg.betti.lex_betti` (the ideal
+itself is built only to verify them), or the h-vector window around a degree
+d.  When a rule fires it records a certificate holding every integer it
+compared, so the verdict can be replayed from the certificate alone.  If no
+obstruction fires and the vector is differentiable, it is a level O-sequence:
+any differentiable O-sequence is the truncation of a Gorenstein one.
+Otherwise the honest answer is Unknown; the implemented criteria are not a
+complete classification.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binomials import binomial, green_bound
-from .errors import ConsistencyError
-from .hvectors import HVector, growth_violation
-from .monomials import lex_segment_ideal
-from .betti import ek_betti, lex_betti_window
+from .hvectors import HVector, growth_violation, require_codim3
+from .betti import lex_betti
 
 R_CANCEL = "R-CANCEL"
 R_31 = "R-31"
@@ -100,31 +100,19 @@ def classify(h: HVector) -> Verdict:
 
     Obstruction rules run at every interior position 2 <= d <= s-1 (the two
     end-restricted rules only at d = s-1) and all firing certificates are
-    collected.  Betti input comes from the resolution of the actual lex
-    ideal; where the closed-form window applies it is asserted to agree.
+    collected.  Betti input is :func:`~levelalg.betti.lex_betti`, which
+    also validates h.
     """
-    violation = h.o_sequence_violation()
-    if violation is not None:
-        raise ValueError(f"not an O-sequence (violation at index {violation})")
-    if not h.codim3():
-        raise ValueError("classification requires h_1 = 3")
+    diagram = lex_betti(h)
     s = h.socle_degree
     if s < 2:
         raise ValueError("classification requires socle degree at least 2")
 
-    diagram = ek_betti(lex_segment_ideal(h))
     fired: list[Certificate] = []
     for d in range(2, s):
         beta1 = diagram.beta(1, d + 2)
         beta2 = diagram.beta(2, d + 2)
         beta2_next = diagram.beta(2, d + 3)
-        if h.at(d) < binomial(d + 2, 2):
-            window = lex_betti_window(h, d)
-            if window != (beta1, beta2, beta2_next):
-                raise ConsistencyError(
-                    f"closed-form window {window} != resolution values "
-                    f"{(beta1, beta2, beta2_next)} at d={d} for {h}"
-                )
         h_dm1, h_d, h_dp1 = h.at(d - 1), h.at(d), h.at(d + 1)
         delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
 
@@ -229,8 +217,9 @@ def iarrobino_lift(base: HVector) -> HVector:
     H_i = min(h_i + C(2+s-i, s-i), C(2+i, i)) for 1 <= i <= s.  When the base
     is the Hilbert function of a level algebra, so is the lift; that claim is
     inherited, not checked, since levelness is not determined by the base
-    h-vector alone.
+    h-vector alone.  The base must be an O-sequence with h_1 = 3.
     """
+    require_codim3(base)
     s = base.socle_degree
     lifted = [1]
     for i in range(1, s + 1):

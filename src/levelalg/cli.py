@@ -14,7 +14,13 @@ import sys
 
 from . import oracle
 from .binomials import green_bound, macaulay_bound, macaulay_expansion
-from .betti import ek_betti, lex_betti_window, numerator_check, render_diagram
+from .betti import (
+    ek_betti,
+    lex_betti,
+    lex_betti_window,
+    numerator_check,
+    render_diagram,
+)
 from .classify import (
     NOT_LEVEL_RULES,
     R_LEVEL_DIFF,
@@ -187,7 +193,7 @@ def _cmd_betti(args) -> int:
         text = f"beta1_d2={beta1} beta2_d2={beta2} beta2_d3={beta2_next}"
         _emit(payload, args.json, text)
         return EXIT_OK
-    diagram = ek_betti(lex_segment_ideal(args.hvector))
+    diagram = lex_betti(args.hvector)
     if args.json:
         print(json.dumps(diagram.triples(), sort_keys=True))
     else:
@@ -200,6 +206,12 @@ def _verify_against_oracles(h: HVector) -> None:
     if not numerator_check(ideal):
         raise ConsistencyError(f"Hilbert-series numerator mismatch for lex({h})")
     betti = ek_betti(ideal)
+    h_only = lex_betti(h)
+    if h_only != betti:
+        raise ConsistencyError(
+            f"h-only Betti numbers {h_only.as_dict()} != resolution of lex({h}) "
+            f"{betti.as_dict()}"
+        )
     for g in ideal.generator_degrees():
         fast = count_gens_div_x3(ideal, g)
         direct = oracle.colon_dim_direct(ideal, 3, g - 1)

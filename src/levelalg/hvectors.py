@@ -96,6 +96,15 @@ class HVector:
         return ",".join(str(e) for e in self.entries)
 
 
+def require_codim3(h: HVector) -> None:
+    """Raise ValueError unless h is an O-sequence with h_1 = 3."""
+    violation = h.o_sequence_violation()
+    if violation is not None:
+        raise ValueError(f"not an O-sequence (violation at index {violation})")
+    if not h.codim3():
+        raise ValueError("h-vector must have h_1 = 3")
+
+
 def enumerate_o_sequences(s: int, cap: int) -> Iterator[HVector]:
     """All O-sequences with h_1 = 3, socle degree exactly s, entries <= cap.
 

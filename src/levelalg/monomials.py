@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .binomials import binomial, green_bound
-from .hvectors import HVector
+from .hvectors import HVector, require_codim3
 
 
 class Monomial(NamedTuple):
@@ -200,11 +200,7 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     socle degree s.  Requires an O-sequence with h_1 = 3; anything else
     would not produce an ideal.
     """
-    violation = h.o_sequence_violation()
-    if violation is not None:
-        raise ValueError(f"not an O-sequence (violation at index {violation})")
-    if not h.codim3():
-        raise ValueError("h-vector must have h_1 = 3")
+    require_codim3(h)
     s = h.socle_degree
     cuts = [monomial_count(t) - h.at(t) for t in range(s + 2)]
     gens = []

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelalg import (
     BettiDiagram,
@@ -10,8 +12,11 @@ from levelalg import (
     binomial,
     count_gens_div_x3,
     ek_betti,
+    enumerate_o_sequences,
+    lex_betti,
     lex_betti_window,
     lex_segment_ideal,
+    macaulay_bound,
     numerator_check,
     render_diagram,
     socle_dims,
@@ -45,6 +50,48 @@ def test_ek_betti_rejects_non_stable():
         ek_betti(MonomialIdeal([Monomial(0, 2, 0)]))
 
 
+@pytest.mark.parametrize("s", range(1, 7))
+def test_lex_betti_equals_resolution_exhaustive(s):
+    for h in enumerate_o_sequences(s, 20):
+        assert lex_betti(h) == ek_betti(lex_segment_ideal(h)), h
+
+
+@st.composite
+def o_sequences(draw, max_s=18):
+    """h_1 = 3, then each step grows fully, plateaus, drops or lands anywhere."""
+    s = draw(st.integers(1, max_s))
+    entries = [1, 3]
+    for i in range(2, s + 1):
+        prev = entries[-1]
+        bound = macaulay_bound(prev, i - 1)
+        entries.append(
+            draw(
+                st.one_of(
+                    st.just(bound),
+                    st.just(prev),
+                    st.integers(1, max(prev - 1, 1)),
+                    st.integers(1, bound),
+                )
+            )
+        )
+    return HVector(tuple(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(o_sequences())
+def test_lex_betti_equals_resolution_property(h):
+    ideal = lex_segment_ideal(h)
+    assert lex_betti(h) == ek_betti(ideal)
+    assert numerator_check(ideal)
+
+
+def test_lex_betti_rejects_invalid_input():
+    with pytest.raises(ValueError, match="O-sequence"):
+        lex_betti(HVector((1, 3, 7)))
+    with pytest.raises(ValueError, match="h_1 = 3"):
+        lex_betti(HVector((1, 2, 1)))
+
+
 @pytest.mark.parametrize(
     "entries,d,window",
     [
@@ -63,7 +110,7 @@ def test_lex_betti_window_falls_back_when_ring_is_full():
     h = HVector((1, 3, 6, 10))
     diagram = ek_betti(lex_segment_ideal(h))
     for d in range(1, 4):
-        assert h.at(d) == binomial(d + 2, 2)  # closed form never applies
+        assert h.at(d) == binomial(d + 2, 2)  # the whole ring in degree d
         assert lex_betti_window(h, d) == (
             diagram.beta(1, d + 2),
             diagram.beta(2, d + 2),

@@ -158,6 +158,13 @@ def test_iarrobino_lift_examples():
     assert iarrobino_lift(HVector((1, 3, 3))).entries == (1, 3, 4)
 
 
+def test_iarrobino_lift_rejects_invalid_base():
+    with pytest.raises(ValueError, match="O-sequence"):
+        iarrobino_lift(HVector((1, 3, 7)))
+    with pytest.raises(ValueError, match="h_1 = 3"):
+        iarrobino_lift(HVector((1, 2, 1)))
+
+
 def test_iarrobino_lift_fixes_full_truncation():
     full = HVector((1, 3, 6, 10, 15))
     assert iarrobino_lift(full) == full

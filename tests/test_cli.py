@@ -1,5 +1,6 @@
 import json
 
+from levelalg import BettiDiagram, cli
 from levelalg.cli import run
 
 
@@ -122,6 +123,15 @@ def test_classify_with_verification(capsys):
     assert capsys.readouterr().out.strip() == "NotLevel"
 
 
+def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
+    wrong = BettiDiagram.from_dict({(0, 2): 1})
+    monkeypatch.setattr(cli, "lex_betti", lambda h: wrong)
+    assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal consistency failure" in captured.err
+
+
 def test_classify_invalid_input(capsys):
     assert run(["classify", "1,3,7"]) == 3
     capsys.readouterr()
@@ -130,6 +140,13 @@ def test_classify_invalid_input(capsys):
 def test_construct_iarrobino(capsys):
     assert run(["construct", "iarrobino", "--base", "1,3,3"]) == 0
     assert capsys.readouterr().out.strip() == "1,3,4"
+
+
+def test_construct_iarrobino_rejects_invalid_base(capsys):
+    for base in ("1,3,7", "1,2,1"):
+        assert run(["construct", "iarrobino", "--base", base]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err, base
 
 
 def test_construct_t44b(capsys):
