@@ -133,11 +133,7 @@ def _quotient_vanishing_degree(ideal: MonomialIdeal) -> int:
     if not ideal.has_finite_colength():
         raise ValueError("quotient Hilbert series is not a polynomial")
     bound = sum(ideal.pure_power_exponent(v) for v in (1, 2, 3))
-    hf = quotient_hf(ideal, bound)
-    t = 0
-    while hf[t] != 0:
-        t += 1
-    return t
+    return next(t for t in range(bound + 1) if all(ideal.members_of_degree(t)))
 
 
 def numerator_check(ideal: MonomialIdeal) -> bool:

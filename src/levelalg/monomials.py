@@ -111,14 +111,15 @@ class MonomialIdeal:
         for m in minimal:
             by_degree.setdefault(m.degree, []).append(m)
         self._gens_by_degree = {d: tuple(ms) for d, ms in by_degree.items()}
+        self._generators = tuple(
+            m for d in sorted(self._gens_by_degree) for m in self._gens_by_degree[d]
+        )
         self._member: list[list[bool]] = []
         self._stable: Optional[bool] = None
 
     def generators(self) -> tuple[Monomial, ...]:
         """All minimal generators, by ascending degree then descending lex."""
-        return tuple(
-            m for d in sorted(self._gens_by_degree) for m in self._gens_by_degree[d]
-        )
+        return self._generators
 
     def generators_of_degree(self, d: int) -> tuple[Monomial, ...]:
         return self._gens_by_degree.get(d, ())
@@ -220,10 +221,7 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient ring in degrees 0..through."""
-    return tuple(
-        sum(1 for r in range(monomial_count(t)) if not ideal.members_of_degree(t)[r])
-        for t in range(through + 1)
-    )
+    return tuple(ideal.members_of_degree(t).count(False) for t in range(through + 1))
 
 
 def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
