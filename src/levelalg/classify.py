@@ -14,6 +14,8 @@ complete classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .binomials import binomial, green_bound
 from .hvectors import HVector, growth_violation, require_codim3
@@ -37,11 +39,18 @@ UNKNOWN = "Unknown"
 
 @dataclass(frozen=True)
 class Certificate:
-    """A fired rule, its position d, and the integers it compared."""
+    """A fired rule, its position d, and the integers it compared.
+
+    ``quantities`` is a read-only view of a private copy, so a certificate
+    cannot change after it is made.
+    """
 
     rule: str
     d: int
-    quantities: dict[str, int]
+    quantities: Mapping[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "quantities", MappingProxyType(dict(self.quantities)))
 
     def as_dict(self) -> dict:
         return {"rule": self.rule, "d": self.d, "quantities": dict(self.quantities)}

@@ -5,10 +5,17 @@ indexed by their position in descending lexicographic order (x1 > x2 > x3),
 which makes lex segments plain prefixes: membership in a segment is a rank
 comparison, and per-degree membership of an arbitrary ideal is a dense
 boolean table over ranks.
+
+A monomial's rank is r = T(tail) + e3, with tail = e2 + e3 and
+T(k) = k(k+1)/2, independent of its degree.  So its neighbours one degree
+away have ranks known by arithmetic: dividing by x1, x2, x3 gives ranks r,
+r - tail, r - tail - 1, and multiplying by them gives r, r + tail + 1,
+r + tail + 2.  The tables are built from these offsets alone.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, NamedTuple, Optional
 
 from .binomials import binomial, green_bound
@@ -75,9 +82,8 @@ def monomial_at(t: int, rank: int) -> Monomial:
     """Inverse of :func:`lex_rank` within degree t."""
     if not 0 <= rank < monomial_count(t):
         raise IndexError(f"rank {rank} out of range for degree {t}")
-    tail = 0
-    while (tail + 1) * (tail + 2) // 2 <= rank:
-        tail += 1
+    # the largest tail with T(tail) <= rank, where T(k) = k(k+1)/2
+    tail = (isqrt(8 * rank + 1) - 1) // 2
     e3 = rank - tail * (tail + 1) // 2
     return Monomial(t - tail, tail - e3, e3)
 
@@ -98,10 +104,12 @@ class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 
     Immutable after construction.  Membership tables (one dense bitset per
-    degree, indexed by lex rank) are built lazily and cached.
+    degree, indexed by lex rank) are built lazily and cached.  A caller that
+    knows the ideal is stable, as :func:`lex_segment_ideal` does, passes
+    ``stable=True`` and :meth:`is_stable` trusts it.
     """
 
-    def __init__(self, generators: Iterable[Monomial]):
+    def __init__(self, generators: Iterable[Monomial], stable: Optional[bool] = None):
         gens = sorted(set(generators), key=lambda m: (m.degree, lex_rank(m)))
         minimal: list[Monomial] = []
         for m in gens:
@@ -115,7 +123,7 @@ class MonomialIdeal:
             m for d in sorted(self._gens_by_degree) for m in self._gens_by_degree[d]
         )
         self._member: list[list[bool]] = []
-        self._stable: Optional[bool] = None
+        self._stable = stable
 
     def generators(self) -> tuple[Monomial, ...]:
         """All minimal generators, by ascending degree then descending lex."""
@@ -133,17 +141,23 @@ class MonomialIdeal:
     def _ensure_tables(self, through: int) -> None:
         while len(self._member) <= through:
             t = len(self._member)
-            gen_ranks = {lex_rank(m) for m in self._gens_by_degree.get(t, ())}
-            row = []
-            for r in range(monomial_count(t)):
-                if r in gen_ranks:
-                    row.append(True)
-                    continue
-                m = monomial_at(t, r)
-                prev = self._member[t - 1] if t > 0 else []
-                row.append(
-                    any(prev[lex_rank(m.div_var(v))] for v in (1, 2, 3) if m[v - 1] > 0)
-                )
+            row = [False] * monomial_count(t)
+            for m in self._gens_by_degree.get(t, ()):
+                row[lex_rank(m)] = True
+            if t > 0:
+                # a non-generator is a member when one of its parents m/x1,
+                # m/x2, m/x3 (ranks r, r - tail, r - tail - 1) is
+                prev = self._member[t - 1]
+                r = 0
+                for tail in range(t + 1):
+                    for e3 in range(tail + 1):
+                        row[r] = (
+                            row[r]
+                            or (tail < t and prev[r])
+                            or (e3 < tail and prev[r - tail])
+                            or (e3 > 0 and prev[r - tail - 1])
+                        )
+                        r += 1
             self._member.append(row)
 
     def contains(self, m: Monomial) -> bool:
@@ -206,17 +220,17 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     cuts = [monomial_count(t) - h.at(t) for t in range(s + 2)]
     gens = []
     for t in range(1, s + 2):
-        for r in range(cuts[t]):
+        # A rank r < cuts[t-1] has tail < t, so its parent m/x1 (rank r)
+        # lies in the segment: only the new band can hold generators.
+        lo = cuts[t - 1]
+        for r in range(lo, cuts[t]):
             m = monomial_at(t, r)
-            parents_outside = all(
-                lex_rank(m.div_var(v)) >= cuts[t - 1] for v in (1, 2, 3) if m[v - 1] > 0
-            )
-            if parents_outside:
+            tail = m.e2 + m.e3
+            # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and r - tail - 1
+            if (m.e2 == 0 or r - tail >= lo) and (m.e3 == 0 or r - tail - 1 >= lo):
                 gens.append(m)
-    ideal = MonomialIdeal(gens)
     # lex segments are stable; the test suite re-derives this via the raw check
-    ideal._stable = True
-    return ideal
+    return MonomialIdeal(gens, stable=True)
 
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
@@ -264,14 +278,20 @@ def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
         members = ideal.members_of_degree(t)
         if all(members):
             break
-        next_members = ideal.members_of_degree(t + 1)
+        after = ideal.members_of_degree(t + 1)
         count = 0
-        for r in range(monomial_count(t)):
-            if members[r]:
-                continue
-            m = monomial_at(t, r)
-            if all(next_members[lex_rank(m.mul_var(v))] for v in (1, 2, 3)):
-                count += 1
+        r = 0
+        for tail in range(t + 1):
+            for _ in range(tail + 1):
+                # x1*u, x2*u, x3*u have ranks r, r + tail + 1, r + tail + 2
+                if (
+                    not members[r]
+                    and after[r]
+                    and after[r + tail + 1]
+                    and after[r + tail + 2]
+                ):
+                    count += 1
+                r += 1
         if count:
             dims[t] = count
     return dims

@@ -1,15 +1,17 @@
 """Brute-force verifiers, independent of the main computational paths.
 
-Everything here recomputes from first principles: ideal membership scans the
-generator list for a divisor instead of using rank tables, monomials come
-from raw nested loops, and expansions are found by exhaustive search over
-index sequences rather than greedily.  Slow on purpose.
+Everything here recomputes from first principles: ideal membership reads a
+staircase table built from the generator list alone instead of the rank
+tables, monomials come from raw nested loops, and expansions are found by
+exhaustive search over index sequences rather than greedily.  Slow on
+purpose, apart from the membership test, which is linear in the table size.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from math import comb
+from typing import Callable
 
 from .binomials import BinomialExpansion
 from .hvectors import HVector
@@ -24,8 +26,28 @@ def _degree_monomials(t: int) -> list[Monomial]:
     return out
 
 
-def _in_ideal(ideal: MonomialIdeal, m: Monomial) -> bool:
-    return any(g.divides(m) for g in ideal.generators())
+def staircase_membership(
+    ideal: MonomialIdeal, top: int
+) -> Callable[[Monomial], bool]:
+    """Membership test for monomials of degree at most top.
+
+    Builds corner[a][b], the least e3 over the generators with e1 <= a and
+    e2 <= b (a 2-D prefix minimum; top + 1 when there is none).  Some
+    generator divides m exactly when corner[m.e1][m.e2] <= m.e3.  Reads only
+    the generator list.
+    """
+    size = top + 1
+    least = [[size] * size for _ in range(size)]
+    for g in ideal.generators():
+        if g.e1 < size and g.e2 < size and g.e3 < least[g.e1][g.e2]:
+            least[g.e1][g.e2] = g.e3
+    # corner[a][b] = min(least[a][b'] for b' <= b, corner[a-1][b])
+    corner = []
+    above = [size] * size
+    for row in least:
+        above = list(map(min, accumulate(row, min), above))
+        corner.append(above)
+    return lambda m: corner[m.e1][m.e2] <= m.e3
 
 
 def colon_dim_direct(ideal: MonomialIdeal, var: int, t: int) -> int:
@@ -33,20 +55,21 @@ def colon_dim_direct(ideal: MonomialIdeal, var: int, t: int) -> int:
 
     Counts degree-t monomials u outside the ideal with x_var * u inside.
     """
+    member = staircase_membership(ideal, t + 1)
     return sum(
         1
         for u in _degree_monomials(t)
-        if not _in_ideal(ideal, u) and _in_ideal(ideal, u.mul_var(var))
+        if not member(u) and member(u.mul_var(var))
     )
 
 
 def socle_dim_direct(ideal: MonomialIdeal, t: int) -> int:
     """Socle dimension of the quotient in degree t, by full enumeration."""
+    member = staircase_membership(ideal, t + 1)
     return sum(
         1
         for u in _degree_monomials(t)
-        if not _in_ideal(ideal, u)
-        and all(_in_ideal(ideal, u.mul_var(v)) for v in (1, 2, 3))
+        if not member(u) and all(member(u.mul_var(v)) for v in (1, 2, 3))
     )
 
 

@@ -1,9 +1,12 @@
 """Shared fixtures: reference Betti tables and seeded random generators."""
 
+from hypothesis import strategies as st
+
 from levelalg import (
     HVector,
     Monomial,
     MonomialIdeal,
+    lex_rank,
     macaulay_bound,
     monomial_at,
     monomial_count,
@@ -83,3 +86,57 @@ def random_stable_ideal(rng, max_trunc=6, max_extras=4):
         if not missing:
             return ideal
         gens = set(ideal.generators()) | missing
+
+
+def in_ideal_by_scan(ideal, m):
+    """Reference membership: some minimal generator divides m."""
+    return any(g.divides(m) for g in ideal.generators())
+
+
+def colon_dim_by_scan(ideal, var, t):
+    """dim of (J : x_var)/J in degree t, with membership by divisor scan."""
+    return sum(
+        1
+        for u in monomials_of_degree(t)
+        if not in_ideal_by_scan(ideal, u) and in_ideal_by_scan(ideal, u.mul_var(var))
+    )
+
+
+def socle_dim_by_scan(ideal, t):
+    """Socle dimension in degree t, with membership by divisor scan."""
+    return sum(
+        1
+        for u in monomials_of_degree(t)
+        if not in_ideal_by_scan(ideal, u)
+        and all(in_ideal_by_scan(ideal, u.mul_var(v)) for v in (1, 2, 3))
+    )
+
+
+def lex_generators_by_full_scan(h):
+    """Lex-segment generators from every rank below each cut, parents by lex_rank."""
+    s = h.socle_degree
+    cuts = [monomial_count(t) - h.at(t) for t in range(s + 2)]
+    gens = []
+    for t in range(1, s + 2):
+        for r in range(cuts[t]):
+            m = monomial_at(t, r)
+            if all(
+                lex_rank(m.div_var(v)) >= cuts[t - 1] for v in (1, 2, 3) if m[v - 1] > 0
+            ):
+                gens.append(m)
+    return gens
+
+
+@st.composite
+def monomials(draw, max_degree=6):
+    t = draw(st.integers(0, max_degree))
+    e1 = draw(st.integers(0, t))
+    e2 = draw(st.integers(0, t - e1))
+    return Monomial(e1, e2, t - e1 - e2)
+
+
+def monomial_ideals(max_degree=6, max_gens=6):
+    """Arbitrary monomial ideals: not necessarily stable or of finite colength."""
+    return st.lists(monomials(max_degree), min_size=1, max_size=max_gens).map(
+        MonomialIdeal
+    )

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -122,6 +123,28 @@ def test_replay_detects_tampering():
     assert not replay_certificate(tampered)
     with pytest.raises(ValueError):
         replay_certificate(Certificate("R-BOGUS", 2, {}))
+
+
+def test_certificate_quantities_are_read_only():
+    source = {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": 1}
+    cert = Certificate(R_31, 5, source)
+    with pytest.raises(TypeError):
+        cert.quantities["beta2_d3"] = 0
+    with pytest.raises(TypeError):
+        del cert.quantities["beta1_d2"]
+    source["beta2_d3"] = 0  # the certificate holds its own copy
+    assert cert.quantities == {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": 1}
+    assert replay_certificate(cert)
+    verdict = classify(HVector((1, 3, 6, 10, 15, 16, 18)))
+    for cert in verdict.certificates:
+        with pytest.raises(TypeError):
+            cert.quantities["d"] = 0
+    assert json.dumps(verdict.as_dict(), sort_keys=True) == (
+        '{"certificates": [{"d": 5, "quantities": {"beta1_d2": 2, "beta2_d2": 2, '
+        '"beta2_d3": 1}, "rule": "R-31"}, {"d": 5, "quantities": {"beta1_d2": 2, '
+        '"beta2_d2": 2, "delta_hd": 1, "delta_hd1": 2}, "rule": "R-37"}], '
+        '"verdict": "NotLevel"}'
+    )
 
 
 def test_no_vector_is_both_level_and_not_level_small_sweep():

@@ -123,6 +123,23 @@ def test_classify_with_verification(capsys):
     assert capsys.readouterr().out.strip() == "NotLevel"
 
 
+def test_classify_verify_json_bytes(capsys):
+    assert run(["classify", "1,3,6,10,15,16,18", "--verify", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"certificates": [{"d": 5, "quantities": {"beta1_d2": 2, "beta2_d2": 2, '
+        '"beta2_d3": 1}, "rule": "R-31"}, {"d": 5, "quantities": {"beta1_d2": 2, '
+        '"beta2_d2": 2, "delta_hd": 1, "delta_hd1": 2}, "rule": "R-37"}], '
+        '"hvector": [1, 3, 6, 10, 15, 16, 18], "verdict": "NotLevel"}\n'
+    )
+    assert run(["classify", "1,3,5,6,6,6,6", "--verify", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"certificates": [{"d": 6, "quantities": {"delta_0": 1, "delta_1": 2, '
+        '"delta_2": 2, "delta_3": 1, "delta_4": 0, "delta_5": 0, "delta_6": 0}, '
+        '"rule": "R-LEVEL-DIFF"}], "hvector": [1, 3, 5, 6, 6, 6, 6], '
+        '"verdict": "Level"}\n'
+    )
+
+
 def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
     wrong = BettiDiagram.from_dict({(0, 2): 1})
     monkeypatch.setattr(cli, "lex_betti", lambda h: wrong)

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from levelalg import (
     HVector,
     Monomial,
     MonomialIdeal,
     count_gens_div_x3,
+    enumerate_o_sequences,
     green_bound,
     lex_compare,
     lex_rank,
@@ -20,7 +22,12 @@ from levelalg import (
     socle_dims,
 )
 
-from _support import random_o_sequence
+from _support import (
+    in_ideal_by_scan,
+    lex_generators_by_full_scan,
+    monomial_ideals,
+    random_o_sequence,
+)
 
 
 def test_monomial_basics():
@@ -57,6 +64,44 @@ def test_rank_unrank_bijection():
             assert monomial_at(t, r) == m
     with pytest.raises(IndexError):
         monomial_at(2, 6)
+
+
+def test_rank_round_trip_at_triangular_boundaries():
+    # T_k = k(k+1)/2 is the first rank with tail k; the rank fixes (tail, e3)
+    # whatever the degree, so degree 2000 holds every boundary up to 2000
+    top = 2000
+    for k in range(1, top + 1):
+        tri = k * (k + 1) // 2
+        assert monomial_at(top, tri) == Monomial(top - k, k, 0)
+        assert monomial_at(top, tri - 1) == Monomial(top - k + 1, 0, k - 1)
+        for r in (tri - 1, tri):
+            assert lex_rank(monomial_at(top, r)) == r
+    for t in range(top + 1):
+        last = monomial_count(t) - 1
+        assert monomial_at(t, last) == Monomial(0, 0, t)
+        assert lex_rank(monomial_at(t, last)) == last
+        tri = t * (t + 1) // 2
+        assert monomial_at(t, tri) == Monomial(0, t, 0)
+        with pytest.raises(IndexError):
+            monomial_at(t, last + 1)
+
+
+def test_members_of_degree_matches_divisor_scan_on_non_stable_ideal():
+    ideal = MonomialIdeal([Monomial(0, 2, 0), Monomial(1, 0, 3)])
+    assert not ideal.is_stable()
+    for t in range(8):
+        assert ideal.members_of_degree(t) == [
+            in_ideal_by_scan(ideal, m) for m in monomials_of_degree(t)
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals())
+def test_members_of_degree_matches_divisor_scan(ideal):
+    for t in range(ideal.max_generator_degree() + 3):
+        assert ideal.members_of_degree(t) == [
+            in_ideal_by_scan(ideal, m) for m in monomials_of_degree(t)
+        ], (ideal, t)
 
 
 def test_minimal_generators_deduplicated():
@@ -127,6 +172,14 @@ def test_lex_segments_are_stable_via_raw_check():
         lexi = lex_segment_ideal(h)
         rebuilt = MonomialIdeal(lexi.generators())  # no stability flag
         assert rebuilt.is_stable(), h
+
+
+def test_band_scan_matches_full_rank_scan():
+    for s in range(1, 6):
+        for h in enumerate_o_sequences(s, 20):
+            lexi = lex_segment_ideal(h)
+            assert lexi.generators() == tuple(lex_generators_by_full_scan(h)), h
+            assert MonomialIdeal(lexi.generators()) == lexi, h
 
 
 def test_segments_are_closed_under_multiplication():
