@@ -104,12 +104,10 @@ class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 
     Immutable after construction.  Membership tables (one dense bitset per
-    degree, indexed by lex rank) are built lazily and cached.  A caller that
-    knows the ideal is stable, as :func:`lex_segment_ideal` does, passes
-    ``stable=True`` and :meth:`is_stable` trusts it.
+    degree, indexed by lex rank) are built lazily and cached.
     """
 
-    def __init__(self, generators: Iterable[Monomial], stable: Optional[bool] = None):
+    def __init__(self, generators: Iterable[Monomial]):
         gens = sorted(set(generators), key=lambda m: (m.degree, lex_rank(m)))
         minimal: list[Monomial] = []
         for m in gens:
@@ -123,7 +121,7 @@ class MonomialIdeal:
             m for d in sorted(self._gens_by_degree) for m in self._gens_by_degree[d]
         )
         self._member: list[list[bool]] = []
-        self._stable = stable
+        self._stable: Optional[bool] = None
 
     def generators(self) -> tuple[Monomial, ...]:
         """All minimal generators, by ascending degree then descending lex."""
@@ -216,6 +214,11 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     would not produce an ideal.
     """
     require_codim3(h)
+    return MonomialIdeal(_lex_generators(h))
+
+
+def _lex_generators(h: HVector) -> list[Monomial]:
+    """Minimal generators of the lex-segment ideal of h, by degree then rank."""
     s = h.socle_degree
     cuts = [monomial_count(t) - h.at(t) for t in range(s + 2)]
     gens = []
@@ -229,8 +232,7 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
             # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and r - tail - 1
             if (m.e2 == 0 or r - tail >= lo) and (m.e3 == 0 or r - tail - 1 >= lo):
                 gens.append(m)
-    # lex segments are stable; the test suite re-derives this via the raw check
-    return MonomialIdeal(gens, stable=True)
+    return gens
 
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -145,6 +147,18 @@ def test_certificate_quantities_are_read_only():
         '"beta2_d2": 2, "delta_hd": 1, "delta_hd1": 2}, "rule": "R-37"}], '
         '"verdict": "NotLevel"}'
     )
+
+
+def test_certificates_pickle_and_copy_through_plain_dicts():
+    verdict = classify(HVector((1, 3, 6, 10, 15, 16, 18)))
+    assert verdict.certificates
+    for clone in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict)):
+        assert clone == verdict
+        assert clone.as_dict() == verdict.as_dict()
+        for cert in clone.certificates:
+            assert replay_certificate(cert)
+            with pytest.raises(TypeError):
+                cert.quantities["d"] = 0
 
 
 def test_no_vector_is_both_level_and_not_level_small_sweep():
