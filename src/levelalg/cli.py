@@ -9,6 +9,7 @@ internal cross-check disagrees.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,7 +60,13 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after that.
+
+    Parsing leaves no state in the parser, so every :func:`run` in a process
+    reuses one; it is built lazily, so importing the module stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="levelalg",
         description="Exact level/non-level tests for codimension-3 h-vectors.",

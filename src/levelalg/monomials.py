@@ -113,6 +113,18 @@ class MonomialIdeal:
         for m in gens:
             if not any(g.divides(m) for g in minimal):
                 minimal.append(m)
+        self._set_generators(minimal)
+
+    @classmethod
+    def _from_minimal(cls, minimal: list[Monomial]) -> "MonomialIdeal":
+        """The ideal of generators already minimal and ordered by degree then
+        lex rank, without the quadratic minimality filter of the constructor.
+        """
+        ideal = cls.__new__(cls)
+        ideal._set_generators(minimal)
+        return ideal
+
+    def _set_generators(self, minimal: list[Monomial]) -> None:
         by_degree: dict[int, list[Monomial]] = {}
         for m in minimal:
             by_degree.setdefault(m.degree, []).append(m)
@@ -168,14 +180,26 @@ class MonomialIdeal:
         return list(self._member[t])
 
     def is_stable(self) -> bool:
-        """Closed under the exchanges x_i * T / x_{m(T)} for i < m(T)."""
+        """Closed under the exchanges x_i * T / x_{m(T)} for i < m(T).
+
+        The exchanges of a generator of rank r lie in its own degree's row:
+        x3 -> x2 and x3 -> x1 at ranks r - 1 and r - tail - 1 when e3 > 0,
+        x2 -> x1 at rank r - tail when e3 = 0 < e2.
+        """
         if self._stable is None:
+            self._ensure_tables(self.max_generator_degree())
             self._stable = all(
-                self.contains(gen.div_var(gen.max_var()).mul_var(i))
-                for gen in self.generators()
-                for i in range(1, gen.max_var())
+                self._exchanges_are_members(gen) for gen in self._generators
             )
         return self._stable
+
+    def _exchanges_are_members(self, gen: Monomial) -> bool:
+        row = self._member[gen.degree]
+        tail = gen.e2 + gen.e3
+        r = tail * (tail + 1) // 2 + gen.e3
+        if gen.e3 > 0:
+            return row[r - 1] and row[r - tail - 1]
+        return gen.e2 == 0 or row[r - tail]
 
     def pure_power_exponent(self, var: int) -> Optional[int]:
         """Exponent k with x_var^k a minimal generator, if one exists."""
@@ -214,7 +238,7 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     would not produce an ideal.
     """
     require_codim3(h)
-    return MonomialIdeal(_lex_generators(h))
+    return MonomialIdeal._from_minimal(_lex_generators(h))
 
 
 def _lex_generators(h: HVector) -> list[Monomial]:
@@ -226,12 +250,20 @@ def _lex_generators(h: HVector) -> list[Monomial]:
         # A rank r < cuts[t-1] has tail < t, so its parent m/x1 (rank r)
         # lies in the segment: only the new band can hold generators.
         lo = cuts[t - 1]
+        if lo >= cuts[t]:
+            continue
+        # walk the band's ranks r = T(tail) + e3, stepping (tail, e3)
+        first = monomial_at(t, lo)
+        tail, e3 = first.e2 + first.e3, first.e3
         for r in range(lo, cuts[t]):
-            m = monomial_at(t, r)
-            tail = m.e2 + m.e3
-            # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and r - tail - 1
-            if (m.e2 == 0 or r - tail >= lo) and (m.e3 == 0 or r - tail - 1 >= lo):
-                gens.append(m)
+            # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and
+            # r - tail - 1, and exist when e2 = tail - e3 > 0 and e3 > 0
+            if (e3 == tail or r - tail >= lo) and (e3 == 0 or r - tail - 1 >= lo):
+                gens.append(Monomial(t - tail, tail - e3, e3))
+            if e3 == tail:
+                tail, e3 = tail + 1, 0
+            else:
+                e3 += 1
     return gens
 
 

@@ -1,15 +1,18 @@
 """Brute-force verifiers, independent of the main computational paths.
 
-Everything here recomputes from first principles: ideal membership reads a
-staircase table built from the generator list alone instead of the rank
-tables, monomials come from raw nested loops, and expansions are found by
-exhaustive search over index sequences rather than greedily.  Slow on
-purpose, apart from the membership test, which is linear in the table size.
+Everything here recomputes from first principles.  Ideal membership reads a
+staircase table built from the generator list alone, not the lex-rank
+tables of :mod:`levelalg.monomials`.  The colon and socle counts enumerate
+every monomial of the degree as a raw exponent triple and test it and its
+multiples against that table: linear in the number of monomials, with no
+monomial objects built.  Expansions are found by exhaustive search over
+index sequences rather than greedily, and O-sequences by filtering the full
+integer box; those two are slow on purpose.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import product
 from math import comb
 from typing import Callable
 
@@ -18,12 +21,36 @@ from .hvectors import HVector
 from .monomials import Monomial, MonomialIdeal
 
 
-def _degree_monomials(t: int) -> list[Monomial]:
-    out = []
-    for e1 in range(t, -1, -1):
-        for e2 in range(t - e1, -1, -1):
-            out.append(Monomial(e1, e2, t - e1 - e2))
-    return out
+def _staircase(ideal: MonomialIdeal, top: int) -> list[list[int]]:
+    """corner[a][b] for a + b <= top: the least e3 over the generators with
+    e1 <= a and e2 <= b, or top + 1 when there is none.
+
+    A 2-D prefix minimum over a triangle: row a has length top + 1 - a.
+    Some generator divides a monomial m of degree at most top exactly when
+    corner[m.e1][m.e2] <= m.e3.  Reads only the generator list, which is
+    ordered by degree, so the fill stops at the first generator of degree
+    above top: it divides nothing of degree at most top.
+    """
+    size = top + 1
+    by_e1: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for g in ideal.generators():
+        if g.e1 + g.e2 + g.e3 > top:
+            break
+        by_e1[g.e1].append((g.e2, g.e3))
+    # Row a is row a - 1, cut to length, with each generator (a, b, e3)
+    # lowering the entries from b on to e3.  Rows never increase along b,
+    # so the lowering stops at the first entry already at most e3.
+    corner = []
+    row = [size] * size
+    for a, gens in enumerate(by_e1):
+        width = size - a
+        row = row[:width]
+        for b, e3 in gens:
+            while b < width and row[b] > e3:
+                row[b] = e3
+                b += 1
+        corner.append(row)
+    return corner
 
 
 def staircase_membership(
@@ -31,22 +58,10 @@ def staircase_membership(
 ) -> Callable[[Monomial], bool]:
     """Membership test for monomials of degree at most top.
 
-    Builds corner[a][b], the least e3 over the generators with e1 <= a and
-    e2 <= b (a 2-D prefix minimum; top + 1 when there is none).  Some
-    generator divides m exactly when corner[m.e1][m.e2] <= m.e3.  Reads only
-    the generator list.
+    Some generator divides m exactly when corner[m.e1][m.e2] <= m.e3, with
+    the staircase table of :func:`_staircase`.  Reads only the generator list.
     """
-    size = top + 1
-    least = [[size] * size for _ in range(size)]
-    for g in ideal.generators():
-        if g.e1 < size and g.e2 < size and g.e3 < least[g.e1][g.e2]:
-            least[g.e1][g.e2] = g.e3
-    # corner[a][b] = min(least[a][b'] for b' <= b, corner[a-1][b])
-    corner = []
-    above = [size] * size
-    for row in least:
-        above = list(map(min, accumulate(row, min), above))
-        corner.append(above)
+    corner = _staircase(ideal, top)
     return lambda m: corner[m.e1][m.e2] <= m.e3
 
 
@@ -55,22 +70,43 @@ def colon_dim_direct(ideal: MonomialIdeal, var: int, t: int) -> int:
 
     Counts degree-t monomials u outside the ideal with x_var * u inside.
     """
-    member = staircase_membership(ideal, t + 1)
-    return sum(
-        1
-        for u in _degree_monomials(t)
-        if not member(u) and member(u.mul_var(var))
-    )
+    if var not in (1, 2, 3):
+        raise ValueError(f"variable index must be 1, 2 or 3, not {var}")
+    # u = (e1, e2, e3) is in J when corner[e1][e2] <= e3; x1*u, x2*u and
+    # x3*u are when corner[e1 + 1][e2], corner[e1][e2 + 1] <= e3 and
+    # corner[e1][e2] <= e3 + 1
+    corner = _staircase(ideal, t + 1)
+    count = 0
+    for e1 in range(t + 1):
+        row, up = corner[e1], corner[e1 + 1]
+        for e2 in range(t - e1 + 1):
+            e3 = t - e1 - e2
+            if row[e2] <= e3:
+                continue
+            if var == 1:
+                count += up[e2] <= e3
+            elif var == 2:
+                count += row[e2 + 1] <= e3
+            else:
+                count += row[e2] <= e3 + 1
+    return count
 
 
 def socle_dim_direct(ideal: MonomialIdeal, t: int) -> int:
-    """Socle dimension of the quotient in degree t, by full enumeration."""
-    member = staircase_membership(ideal, t + 1)
-    return sum(
-        1
-        for u in _degree_monomials(t)
-        if not member(u) and all(member(u.mul_var(v)) for v in (1, 2, 3))
-    )
+    """Socle dimension of the quotient in degree t, by full enumeration.
+
+    Counts degree-t monomials u outside the ideal with x1*u, x2*u and x3*u
+    inside, read off the staircase as in :func:`colon_dim_direct`.
+    """
+    corner = _staircase(ideal, t + 1)
+    count = 0
+    for e1 in range(t + 1):
+        row, up = corner[e1], corner[e1 + 1]
+        for e2 in range(t - e1 + 1):
+            e3 = t - e1 - e2
+            if e3 < row[e2] <= e3 + 1 and up[e2] <= e3 and row[e2 + 1] <= e3:
+                count += 1
+    return count
 
 
 def expansion_exhaustive(n: int, i: int) -> BinomialExpansion:

@@ -1,5 +1,7 @@
 """Shared fixtures: reference Betti tables and seeded random generators."""
 
+from math import comb
+
 from hypothesis import strategies as st
 
 from levelalg import (
@@ -74,18 +76,39 @@ def random_stable_ideal(rng, max_trunc=6, max_extras=4):
     for _ in range(rng.randint(0, max_extras)):
         t = rng.randint(1, k - 1)
         gens.add(monomial_at(t, rng.randrange(monomial_count(t))))
-    while True:
+    # A round that does not return adds a monomial of degree <= k to the
+    # ideal, which holds every monomial of degree k, so with correct
+    # membership the closure settles within this many rounds.
+    rounds = comb(k + 3, 3)
+    for _ in range(rounds):
         ideal = MonomialIdeal(gens)
-        missing = set()
-        for gen in ideal.generators():
-            top = gen.max_var()
-            for i in range(1, top):
-                exchanged = gen.div_var(top).mul_var(i)
-                if not ideal.contains(exchanged):
-                    missing.add(exchanged)
+        missing = {
+            exchanged
+            for gen in ideal.generators()
+            for exchanged in exchanges(gen)
+            if not ideal.contains(exchanged)
+        }
         if not missing:
             return ideal
         gens = set(ideal.generators()) | missing
+    raise AssertionError(f"exchange closure did not settle in {rounds} rounds")
+
+
+def exchanges(gen):
+    """The monomials x_i * gen / x_m for i < m, m the largest variable of gen."""
+    if gen.degree == 0:
+        return []
+    top = gen.max_var()
+    return [gen.div_var(top).mul_var(i) for i in range(1, top)]
+
+
+def is_stable_by_exchange(ideal):
+    """Reference stability: every exchange of every generator is a member."""
+    return all(
+        in_ideal_by_scan(ideal, exchanged)
+        for gen in ideal.generators()
+        for exchanged in exchanges(gen)
+    )
 
 
 def in_ideal_by_scan(ideal, m):

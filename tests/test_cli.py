@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from levelalg import BettiDiagram, cli
 from levelalg.cli import run
@@ -217,3 +221,40 @@ def test_output_is_deterministic(capsys):
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+PARSER_REUSE_CALLS = [
+    (["classify", "1,3,5,6,6,6,6", "--verify", "--json"], 0),
+    (["classify", "1,3,6,10,15,16,18", "--verify", "--json"], 0),
+    (["classify", "1,3,7"], 3),
+    (["frobnicate"], 2),
+    (["--help"], 0),
+    (["classify", "1,3,6,10,15,16,18"], 0),
+]
+
+
+def test_parser_reuse_matches_fresh_parser(capsys):
+    fresh = []
+    for argv, _ in PARSER_REUSE_CALLS:
+        cli.build_parser.cache_clear()
+        code = run(argv)
+        fresh.append((code, capsys.readouterr()))
+    assert [code for code, _ in fresh] == [code for _, code in PARSER_REUSE_CALLS]
+    cli.build_parser.cache_clear()
+    reused = []
+    for argv, _ in PARSER_REUSE_CALLS:
+        code = run(argv)
+        reused.append((code, capsys.readouterr()))
+    assert reused == fresh
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(PARSER_REUSE_CALLS) - 1)
+
+
+def test_parser_is_not_built_at_import():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from levelalg import cli; "
+        "assert cli.build_parser.cache_info().currsize == 0"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -25,9 +25,11 @@ from levelalg.monomials import _lex_generators
 
 from _support import (
     in_ideal_by_scan,
+    is_stable_by_exchange,
     lex_generators_by_full_scan,
     monomial_ideals,
     random_o_sequence,
+    random_stable_ideal,
 )
 
 
@@ -166,6 +168,24 @@ def test_stability():
     ).is_stable()
 
 
+@settings(max_examples=300, deadline=None)
+@given(monomial_ideals())
+def test_is_stable_matches_exchange_definition(ideal):
+    assert ideal.is_stable() == is_stable_by_exchange(ideal), ideal
+
+
+def test_is_stable_on_stable_and_broken_ideals():
+    rng = random.Random(17)
+    for _ in range(15):
+        ideal = random_stable_ideal(rng, max_trunc=5, max_extras=3)
+        assert ideal.is_stable() and is_stable_by_exchange(ideal), ideal
+    # (x1, x3) fails only x3 -> x2, (x2) only x2 -> x1, (x3) both x3 exchanges
+    for gens in ([(1, 0, 0), (0, 0, 1)], [(0, 1, 0)], [(0, 0, 1)]):
+        ideal = MonomialIdeal([Monomial(*g) for g in gens])
+        assert not ideal.is_stable() and not is_stable_by_exchange(ideal), ideal
+    assert MonomialIdeal([Monomial(0, 0, 0)]).is_stable()
+
+
 def test_lex_segments_are_stable_via_raw_check():
     rng = random.Random(9)
     for _ in range(25):
@@ -183,6 +203,7 @@ def test_band_scan_matches_full_rank_scan():
             band = _lex_generators(h)
             assert band == lex_generators_by_full_scan(h), h
             assert lex_segment_ideal(h).generators() == tuple(band), h
+            assert MonomialIdeal(band).generators() == tuple(band), h
 
 
 def test_segments_are_closed_under_multiplication():

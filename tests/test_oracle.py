@@ -24,6 +24,7 @@ from levelalg.oracle import (
 )
 
 from _support import (
+    PAPER_BETTI,
     colon_dim_by_scan,
     in_ideal_by_scan,
     monomial_ideals,
@@ -107,6 +108,27 @@ def test_direct_counts_match_scan_counts_on_stable_ideals():
                 assert colon_dim_direct(ideal, var, t) == colon_dim_by_scan(
                     ideal, var, t
                 )
+
+
+@pytest.mark.parametrize("entries", sorted(PAPER_BETTI))
+def test_direct_counts_match_scan_counts_on_paper_lex_ideals(entries):
+    # from below the first generator up to two past the socle degree, where
+    # the staircase is widest
+    h = HVector(entries)
+    ideal = lex_segment_ideal(h)
+    for t in range(h.socle_degree + 3):
+        assert socle_dim_direct(ideal, t) == socle_dim_by_scan(ideal, t), t
+        for var in (1, 2, 3):
+            assert colon_dim_direct(ideal, var, t) == colon_dim_by_scan(
+                ideal, var, t
+            ), (t, var)
+
+
+def test_colon_dim_direct_rejects_bad_variable():
+    ideal = MonomialIdeal([Monomial(1, 0, 0)])
+    for var in (0, 4):
+        with pytest.raises(ValueError):
+            colon_dim_direct(ideal, var, 2)
 
 
 def test_oracle_reads_no_rank_tables():
