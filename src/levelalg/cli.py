@@ -60,13 +60,7 @@ def _positive(text: str) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after that.
-
-    Parsing leaves no state in the parser, so every :func:`run` in a process
-    reuses one; it is built lazily, so importing the module stays cheap.
-    """
     parser = argparse.ArgumentParser(
         prog="levelalg",
         description="Exact level/non-level tests for codimension-3 h-vectors.",
@@ -321,8 +315,21 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process for :func:`run`, built on its first call.
+
+    Parsing leaves no state in the parser, so a process that calls
+    :func:`run` many times (a library caller, a test suite, a benchmark)
+    builds it once.  The ``levelalg`` command calls :func:`run` once per
+    process and gains nothing.  :func:`build_parser` still returns a fresh
+    parser, so a caller that changes its copy does not change :func:`run`.
+    """
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -250,20 +250,12 @@ def _lex_generators(h: HVector) -> list[Monomial]:
         # A rank r < cuts[t-1] has tail < t, so its parent m/x1 (rank r)
         # lies in the segment: only the new band can hold generators.
         lo = cuts[t - 1]
-        if lo >= cuts[t]:
-            continue
-        # walk the band's ranks r = T(tail) + e3, stepping (tail, e3)
-        first = monomial_at(t, lo)
-        tail, e3 = first.e2 + first.e3, first.e3
         for r in range(lo, cuts[t]):
-            # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and
-            # r - tail - 1, and exist when e2 = tail - e3 > 0 and e3 > 0
-            if (e3 == tail or r - tail >= lo) and (e3 == 0 or r - tail - 1 >= lo):
-                gens.append(Monomial(t - tail, tail - e3, e3))
-            if e3 == tail:
-                tail, e3 = tail + 1, 0
-            else:
-                e3 += 1
+            m = monomial_at(t, r)
+            tail = m.e2 + m.e3
+            # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and r - tail - 1
+            if (m.e2 == 0 or r - tail >= lo) and (m.e3 == 0 or r - tail - 1 >= lo):
+                gens.append(m)
     return gens
 
 

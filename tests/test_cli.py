@@ -236,17 +236,17 @@ PARSER_REUSE_CALLS = [
 def test_parser_reuse_matches_fresh_parser(capsys):
     fresh = []
     for argv, _ in PARSER_REUSE_CALLS:
-        cli.build_parser.cache_clear()
+        cli._shared_parser.cache_clear()
         code = run(argv)
         fresh.append((code, capsys.readouterr()))
     assert [code for code, _ in fresh] == [code for _, code in PARSER_REUSE_CALLS]
-    cli.build_parser.cache_clear()
+    cli._shared_parser.cache_clear()
     reused = []
     for argv, _ in PARSER_REUSE_CALLS:
         code = run(argv)
         reused.append((code, capsys.readouterr()))
     assert reused == fresh
-    info = cli.build_parser.cache_info()
+    info = cli._shared_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(PARSER_REUSE_CALLS) - 1)
 
 
@@ -254,7 +254,15 @@ def test_parser_is_not_built_at_import():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from levelalg import cli; "
-        "assert cli.build_parser.cache_info().currsize == 0"
+        "assert cli._shared_parser.cache_info().currsize == 0"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_build_parser_returns_a_fresh_parser(capsys):
+    mine = cli.build_parser()
+    mine.add_argument("--extra")
+    assert cli.build_parser() is not mine
+    assert run(["classify", "1,3,6", "--extra", "x"]) == 2
+    capsys.readouterr()
