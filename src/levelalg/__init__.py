@@ -23,7 +23,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     count_gens_div_x3,
-    lex_compare,
     lex_rank,
     lex_segment_ideal,
     monomial_at,
@@ -73,7 +72,6 @@ __all__ = [
     "iarrobino_lift",
     "lex_betti",
     "lex_betti_window",
-    "lex_compare",
     "lex_rank",
     "lex_segment_ideal",
     "macaulay_bound",

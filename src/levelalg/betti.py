@@ -88,45 +88,67 @@ def ek_betti(ideal: MonomialIdeal) -> BettiDiagram:
     return BettiDiagram.from_dict(entries)
 
 
-def lex_betti(h: HVector) -> BettiDiagram:
-    """Graded Betti numbers of the lex-segment ideal of h, from h alone.
+def _lex_betti_columns(h: HVector) -> tuple[list[int], list[int], list[int]]:
+    """Betti numbers of the lex-segment ideal of h as columns (b0, b1, b2).
 
-    Let r_t = green_bound(h_t, t), the Hilbert function of the lex ideal
-    modulo x3, and h_{s+1} = 0.  In each degree g = 2..s+1 the ideal has
+    ``bq[j]`` is beta_{q,j} for 0 <= j <= s+3, zeros included.  Let
+    r_t = green_bound(h_t, t), the Hilbert function of the lex ideal modulo
+    x3, and h_{s+1} = 0.  In each degree g = 2..s+1 the ideal has
     macaulay_bound(h_{g-1}, g-1) - h_g minimal generators.  Of these,
     (g+1 - r_g) - (g - r_{g-1} + 1 if g > r_{g-1} else 0) avoid x3, and x1^g
     is one exactly at the first g with h_g < C(g+2, 2).  Eliahou-Kervaire
     turns these counts by maximal variable into Betti numbers.  h_1 = 3
     leaves no linear generators, so the loop starts at g = 2 with
-    r_1 = green_bound(h_1, 1).  Requires an O-sequence with h_1 = 3.
+    r_1 = green_bound(h_1, 1) and C(g+1, 2) = C(3, 2) = 3.  Requires an
+    O-sequence with h_1 = 3; raises ValueError if a count comes out negative,
+    which would break the invariants :class:`BettiDiagram` checks.
     """
     require_codim3(h)
     padded = h.entries + (0,)
-    entries: dict[tuple[int, int], int] = {}
+    size = len(padded) + 2
+    b0, b1, b2 = [0] * size, [0] * size, [0] * size
     r_prev = green_bound(padded[1], 1)
+    full_prev = 3  # C(g+1, 2), the whole ring in degree g-1
     for g in range(2, len(padded)):
         h_prev, h_g = padded[g - 1], padded[g]
+        full = full_prev + g + 1  # C(g+2, 2)
         r_g = green_bound(h_g, g)
         total = macaulay_bound(h_prev, g - 1) - h_g
         in_x1x2 = (g + 1 - r_g) - (g - r_prev + 1 if g > r_prev else 0)
-        in_x1 = int(h_g < binomial(g + 2, 2) and h_prev == binomial(g + 1, 2))
+        in_x1 = int(h_g < full and h_prev == full_prev)
         in_x2, in_x3 = in_x1x2 - in_x1, total - in_x1x2
-        entries[(0, g)] = total
-        entries[(1, g + 1)] = in_x2 + 2 * in_x3
-        entries[(2, g + 2)] = in_x3
-        r_prev = r_g
-    return BettiDiagram.from_dict(entries)
+        if in_x2 < 0 or in_x3 < 0:
+            raise ValueError(f"negative lex generator count in degree {g} for {h}")
+        b0[g] = total
+        b1[g + 1] = in_x2 + 2 * in_x3
+        b2[g + 2] = in_x3
+        r_prev, full_prev = r_g, full
+    return b0, b1, b2
+
+
+def lex_betti(h: HVector) -> BettiDiagram:
+    """Graded Betti numbers of the lex-segment ideal of h, from h alone.
+
+    The diagram form of the per-degree integer columns that
+    :func:`~levelalg.classify.classify` reads directly; see
+    :func:`_lex_betti_columns` for the formula.  Requires an O-sequence with
+    h_1 = 3.
+    """
+    columns = _lex_betti_columns(h)
+    return BettiDiagram.from_dict(
+        {(q, j): mult for q, column in enumerate(columns) for j, mult in enumerate(column)}
+    )
 
 
 def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
     """(beta_1 at d+2, beta_2 at d+2, beta_2 at d+3) for the lex ideal of h.
 
-    A slice of :func:`lex_betti`, so it comes from h alone.
+    A slice of the columns behind :func:`lex_betti`, so it comes from h alone.
     """
     if not 1 <= d <= h.socle_degree:
         raise ValueError("d must satisfy 1 <= d <= socle degree")
-    diagram = lex_betti(h)
-    return diagram.beta(1, d + 2), diagram.beta(2, d + 2), diagram.beta(2, d + 3)
+    _, b1, b2 = _lex_betti_columns(h)
+    return b1[d + 2], b2[d + 2], b2[d + 3]
 
 
 def _quotient_vanishing_degree(ideal: MonomialIdeal) -> int:
@@ -142,7 +164,11 @@ def numerator_check(ideal: MonomialIdeal) -> bool:
     Compares 1 - beta_0(t) + beta_1(t) - beta_2(t) against (1-t)^3 times the
     quotient Hilbert series, coefficient by coefficient.
     """
-    diagram = ek_betti(ideal)
+    return _numerator_identity(ideal, ek_betti(ideal))
+
+
+def _numerator_identity(ideal: MonomialIdeal, diagram: BettiDiagram) -> bool:
+    """:func:`numerator_check` against a diagram the caller already holds."""
     vanish = _quotient_vanishing_degree(ideal)
     hf = quotient_hf(ideal, max(vanish - 1, 0))
 

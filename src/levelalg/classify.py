@@ -1,14 +1,15 @@
 """Level / NotLevel / Unknown classification of codimension-3 h-vectors.
 
 Each obstruction rule inspects the graded Betti numbers of the lex-segment
-ideal, computed from h alone by :func:`~levelalg.betti.lex_betti` (the ideal
-itself is built only to verify them), or the h-vector window around a degree
-d.  When a rule fires it records a certificate holding every integer it
-compared, so the verdict can be replayed from the certificate alone.  If no
-obstruction fires and the vector is differentiable, it is a level O-sequence:
-any differentiable O-sequence is the truncation of a Gorenstein one.
-Otherwise the honest answer is Unknown; the implemented criteria are not a
-complete classification.
+ideal, read by index from the integer columns behind
+:func:`~levelalg.betti.lex_betti` (computed from h alone; the ideal itself is
+built only to verify them), or the h-vector window around a degree d.  When a
+rule fires it records a certificate holding every integer it compared, so the
+verdict can be replayed from the certificate alone.  If no obstruction fires
+and the vector is differentiable, it is a level O-sequence: any
+differentiable O-sequence is the truncation of a Gorenstein one.  Otherwise
+the honest answer is Unknown; the implemented criteria are not a complete
+classification.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping
 
 from .binomials import binomial, green_bound
 from .hvectors import HVector, growth_violation, require_codim3
-from .betti import lex_betti
+from .betti import _lex_betti_columns
 
 R_CANCEL = "R-CANCEL"
 R_31 = "R-31"
@@ -120,20 +121,21 @@ def classify(h: HVector) -> Verdict:
 
     Obstruction rules run at every interior position 2 <= d <= s-1 (the two
     end-restricted rules only at d = s-1) and all firing certificates are
-    collected.  Betti input is :func:`~levelalg.betti.lex_betti`, which
-    also validates h.
+    collected.  Betti input is the per-degree integer columns behind
+    :func:`~levelalg.betti.lex_betti`, read by index with no
+    :class:`~levelalg.betti.BettiDiagram` built; computing them also
+    validates h.
     """
-    diagram = lex_betti(h)
+    _, b1, b2 = _lex_betti_columns(h)
+    e = h.entries
     s = h.socle_degree
     if s < 2:
         raise ValueError("classification requires socle degree at least 2")
 
     fired: list[Certificate] = []
-    for d in range(2, s):
-        beta1 = diagram.beta(1, d + 2)
-        beta2 = diagram.beta(2, d + 2)
-        beta2_next = diagram.beta(2, d + 3)
-        h_dm1, h_d, h_dp1 = h.at(d - 1), h.at(d), h.at(d + 1)
+    for d in range(2, s):  # d + 1 <= s, so e[d + 1] needs no zero padding
+        beta1, beta2, beta2_next = b1[d + 2], b2[d + 2], b2[d + 3]
+        h_dm1, h_d, h_dp1 = e[d - 1], e[d], e[d + 1]
         delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
 
         if beta2 > beta1:

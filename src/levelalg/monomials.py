@@ -93,13 +93,6 @@ def monomials_of_degree(t: int) -> list[Monomial]:
     return [monomial_at(t, r) for r in range(monomial_count(t))]
 
 
-def lex_compare(u: Monomial, v: Monomial) -> int:
-    """Three-way lex comparison of equal-degree monomials (+1 when u is larger)."""
-    if u.degree != v.degree:
-        raise ValueError("lex comparison requires equal degrees")
-    return (u > v) - (u < v)
-
-
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 

@@ -60,6 +60,16 @@ LEVEL_VECTORS = [
 ]
 
 
+def lex_compare(u, v):
+    """Three-way lex comparison of equal-degree monomials (+1 when u is larger).
+
+    Lex order within a degree is plain tuple order on exponents.
+    """
+    if u.degree != v.degree:
+        raise ValueError("lex comparison requires equal degrees")
+    return (u > v) - (u < v)
+
+
 def random_o_sequence(rng, max_s=8, cap=30):
     """Random walk under the growth bound; h1 = 3, socle degree in 2..max_s."""
     s = rng.randint(2, max_s)
@@ -148,6 +158,27 @@ def lex_generators_by_full_scan(h):
             ):
                 gens.append(m)
     return gens
+
+
+@st.composite
+def o_sequences(draw, max_s=18):
+    """h_1 = 3, then each step grows fully, plateaus, drops or lands anywhere."""
+    s = draw(st.integers(1, max_s))
+    entries = [1, 3]
+    for i in range(2, s + 1):
+        prev = entries[-1]
+        bound = macaulay_bound(prev, i - 1)
+        entries.append(
+            draw(
+                st.one_of(
+                    st.just(bound),
+                    st.just(prev),
+                    st.integers(1, max(prev - 1, 1)),
+                    st.integers(1, bound),
+                )
+            )
+        )
+    return HVector(tuple(entries))
 
 
 @st.composite

@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levelalg import (
     BettiDiagram,
@@ -10,19 +9,22 @@ from levelalg import (
     Monomial,
     MonomialIdeal,
     binomial,
+    classify,
     count_gens_div_x3,
     ek_betti,
     enumerate_o_sequences,
     lex_betti,
     lex_betti_window,
     lex_segment_ideal,
-    macaulay_bound,
     numerator_check,
     render_diagram,
     socle_dims,
 )
 
-from _support import PAPER_BETTI, random_o_sequence, random_stable_ideal
+from levelalg import betti
+from levelalg.betti import _lex_betti_columns
+
+from _support import PAPER_BETTI, o_sequences, random_o_sequence, random_stable_ideal
 
 
 def test_diagram_invariants_enforced():
@@ -53,28 +55,31 @@ def test_ek_betti_rejects_non_stable():
 @pytest.mark.parametrize("s", range(1, 7))
 def test_lex_betti_equals_resolution_exhaustive(s):
     for h in enumerate_o_sequences(s, 20):
-        assert lex_betti(h) == ek_betti(lex_segment_ideal(h)), h
+        diagram = ek_betti(lex_segment_ideal(h))
+        assert lex_betti(h) == diagram, h
+        # the columns classify reads, entry by entry with zeros included
+        for q, column in enumerate(_lex_betti_columns(h)):
+            assert len(column) == s + 4, h
+            for j, mult in enumerate(column):
+                assert mult == diagram.beta(q, j), (h, q, j)
+        assert all(j < s + 4 for (_, j) in diagram.as_dict()), h
 
 
-@st.composite
-def o_sequences(draw, max_s=18):
-    """h_1 = 3, then each step grows fully, plateaus, drops or lands anywhere."""
-    s = draw(st.integers(1, max_s))
-    entries = [1, 3]
-    for i in range(2, s + 1):
-        prev = entries[-1]
-        bound = macaulay_bound(prev, i - 1)
-        entries.append(
-            draw(
-                st.one_of(
-                    st.just(bound),
-                    st.just(prev),
-                    st.integers(1, max(prev - 1, 1)),
-                    st.integers(1, bound),
-                )
-            )
-        )
-    return HVector(tuple(entries))
+@pytest.mark.parametrize(
+    "bound,wrong",
+    [
+        ("green_bound", lambda n, d: n + 100),  # x1x2 count below zero
+        ("macaulay_bound", lambda n, d: 0),  # x3 count below zero
+    ],
+)
+def test_negative_generator_count_raises(monkeypatch, bound, wrong):
+    # a wrong bound makes a generator count negative: the columns must
+    # refuse it instead of handing it to the rules or to BettiDiagram
+    monkeypatch.setattr(betti, bound, wrong)
+    h = HVector((1, 3, 6, 10, 15, 16, 18))
+    for compute in (classify, lex_betti, lambda h: lex_betti_window(h, 5)):
+        with pytest.raises(ValueError, match="negative lex generator count"):
+            compute(h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,17 +1,23 @@
 import copy
+import hashlib
 import json
 import pickle
 from dataclasses import replace
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
 
 from levelalg import (
+    BettiDiagram,
     HVector,
     classify,
     construct_plateau_level,
+    ek_betti,
     enumerate_o_sequences,
     iarrobino_lift,
     lex_betti_window,
+    lex_segment_ideal,
     replay_certificate,
 )
 from levelalg.classify import (
@@ -28,7 +34,11 @@ from levelalg.classify import (
     Certificate,
 )
 
-from _support import LEVEL_VECTORS, NOT_LEVEL_VECTORS
+from _support import LEVEL_VECTORS, NOT_LEVEL_VECTORS, o_sequences
+
+# Where each Betti quantity of a certificate sits in the ideal's resolution,
+# as (q, shift - d).
+BETTI_POSITIONS = {"beta1_d2": (1, 2), "beta2_d2": (2, 2), "beta2_d3": (2, 3)}
 
 
 def _rules(verdict):
@@ -245,3 +255,61 @@ def test_verdict_json_shape():
     data = verdict.as_dict()
     assert data["verdict"] == "NotLevel"
     assert {"rule", "d", "quantities"} == set(data["certificates"][0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(o_sequences())
+def test_certificate_betti_quantities_equal_resolution(h):
+    assume(h.socle_degree >= 2)
+    diagram = ek_betti(lex_segment_ideal(h))
+    certificates = classify(h).certificates
+    for cert in certificates:
+        for name, value in cert.quantities.items():
+            if name.startswith("beta"):
+                q, offset = BETTI_POSITIONS[name]
+                assert value == diagram.beta(q, cert.d + offset), (h, cert)
+    # the two rules on Betti numbers alone fire exactly where the resolution
+    # says they should, so a misread column cannot hide by firing nowhere
+    expected = set()
+    for d in range(2, h.socle_degree):
+        beta1, beta2 = diagram.beta(1, d + 2), diagram.beta(2, d + 2)
+        if beta2 > beta1:
+            expected.add((R_CANCEL, d))
+        if beta1 == beta2 > 0 and diagram.beta(2, d + 3) > 0:
+            expected.add((R_31, d))
+    fired = {(c.rule, c.d) for c in certificates if c.rule in (R_CANCEL, R_31)}
+    assert fired == expected, h
+
+
+def test_classify_reads_no_diagram_and_no_h_lookups(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify must read the integer columns by index")
+
+    monkeypatch.setattr(BettiDiagram, "__post_init__", forbidden)
+    monkeypatch.setattr(BettiDiagram, "beta", forbidden)
+    monkeypatch.setattr(HVector, "at", forbidden)
+    kinds = {classify(h).kind for h in enumerate_o_sequences(5, 12)}
+    assert kinds == {LEVEL, NOT_LEVEL, UNKNOWN}
+
+
+def _digest_corpus():
+    yield from enumerate_o_sequences(6, 20)
+    for s in (32, 64):
+        for c in range(41):
+            yield HVector(
+                (1,) + tuple(min(comb(i + 2, 2), 3 * i + c) for i in range(1, s + 1))
+            )
+
+
+def test_verdict_json_bytes_unchanged():
+    # blake2b over the sorted JSON of every verdict, recorded before classify
+    # read integer columns: any change to a verdict, a certificate or its
+    # JSON form moves it
+    hasher = hashlib.blake2b(digest_size=16)
+    count = 0
+    for h in _digest_corpus():
+        payload = {"hvector": list(h), **classify(h).as_dict()}
+        hasher.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        count += 1
+    assert count == 3241
+    assert hasher.hexdigest() == "597c62e069a3c8fb183eeb45de512f7a"

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from levelalg import BettiDiagram, cli
+from levelalg import BettiDiagram, cli, ek_betti
 from levelalg.cli import run
 
 
@@ -151,6 +151,21 @@ def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal consistency failure" in captured.err
+
+
+def test_classify_verification_checks_numerator_of_its_resolution(capsys, monkeypatch):
+    # the numerator identity runs on the one resolution the verifier holds:
+    # dropping its last second syzygy must fail that identity first
+    def short_resolution(ideal):
+        table = ek_betti(ideal).as_dict()
+        del table[max(key for key in table if key[0] == 2)]
+        return BettiDiagram.from_dict(table)
+
+    monkeypatch.setattr(cli, "ek_betti", short_resolution)
+    assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerator mismatch" in captured.err
 
 
 def test_classify_invalid_input(capsys):

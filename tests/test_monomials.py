@@ -10,7 +10,6 @@ from levelalg import (
     count_gens_div_x3,
     enumerate_o_sequences,
     green_bound,
-    lex_compare,
     lex_rank,
     lex_segment_ideal,
     monomial_at,
@@ -26,6 +25,7 @@ from levelalg.monomials import _lex_generators
 from _support import (
     in_ideal_by_scan,
     is_stable_by_exchange,
+    lex_compare,
     lex_generators_by_full_scan,
     monomial_ideals,
     random_o_sequence,
@@ -50,6 +50,14 @@ def test_lex_compare():
     assert lex_compare(Monomial(1, 1, 0), Monomial(1, 1, 0)) == 0
     with pytest.raises(ValueError):
         lex_compare(Monomial(1, 0, 0), Monomial(2, 0, 0))
+    # lex order within a degree is tuple order, which lex_rank counts down
+    for t in range(5):
+        ranked = monomials_of_degree(t)
+        for u in ranked:
+            for v in ranked:
+                assert lex_compare(u, v) == (lex_rank(u) < lex_rank(v)) - (
+                    lex_rank(u) > lex_rank(v)
+                )
 
 
 def test_degree_two_descending_order():
