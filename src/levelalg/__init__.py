@@ -29,7 +29,6 @@ from .monomials import (
     monomial_count,
     monomials_of_degree,
     quotient_hf,
-    reduction_number_r1_lex,
     restricted_hf,
     socle_dims,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "monomials_of_degree",
     "numerator_check",
     "quotient_hf",
-    "reduction_number_r1_lex",
     "render_diagram",
     "replay_certificate",
     "restricted_hf",

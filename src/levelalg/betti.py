@@ -99,12 +99,20 @@ def _lex_betti_columns(h: HVector) -> tuple[list[int], list[int], list[int]]:
     is one exactly at the first g with h_g < C(g+2, 2).  Eliahou-Kervaire
     turns these counts by maximal variable into Betti numbers.  h_1 = 3
     leaves no linear generators, so the loop starts at g = 2 with
-    r_1 = green_bound(h_1, 1) and C(g+1, 2) = C(3, 2) = 3.  Requires an
-    O-sequence with h_1 = 3; raises ValueError if a count comes out negative,
-    which would break the invariants :class:`BettiDiagram` checks.
+    r_1 = green_bound(h_1, 1) and C(g+1, 2) = C(3, 2) = 3.
+
+    The same pass validates h, so callers need no separate
+    :func:`~levelalg.hvectors.require_codim3`: h_0 = 1 and h_1 = 3 are
+    checked up front, and a growth violation at degree g makes the
+    generator total negative, so the x1x2 or the x3 count with it.  On any
+    failure ``require_codim3`` runs and raises its message for an invalid h;
+    for a valid h a negative count can only mean a wrong bound, and raises
+    ValueError rather than break the invariants :class:`BettiDiagram`
+    checks.
     """
-    require_codim3(h)
     padded = h.entries + (0,)
+    if padded[0] != 1 or len(padded) < 3 or padded[1] != 3:
+        _refuse(h, "h-vector must have h_0 = 1 and h_1 = 3")
     size = len(padded) + 2
     b0, b1, b2 = [0] * size, [0] * size, [0] * size
     r_prev = green_bound(padded[1], 1)
@@ -117,13 +125,19 @@ def _lex_betti_columns(h: HVector) -> tuple[list[int], list[int], list[int]]:
         in_x1x2 = (g + 1 - r_g) - (g - r_prev + 1 if g > r_prev else 0)
         in_x1 = int(h_g < full and h_prev == full_prev)
         in_x2, in_x3 = in_x1x2 - in_x1, total - in_x1x2
-        if in_x2 < 0 or in_x3 < 0:
-            raise ValueError(f"negative lex generator count in degree {g} for {h}")
+        if in_x2 < 0 or in_x3 < 0:  # in_x2 + in_x3 <= total
+            _refuse(h, f"negative lex generator count in degree {g} for {h}")
         b0[g] = total
         b1[g + 1] = in_x2 + 2 * in_x3
         b2[g + 2] = in_x3
         r_prev, full_prev = r_g, full
     return b0, b1, b2
+
+
+def _refuse(h: HVector, problem: str) -> None:
+    """Raise require_codim3's message if h is invalid, else ValueError(problem)."""
+    require_codim3(h)
+    raise ValueError(problem)
 
 
 def lex_betti(h: HVector) -> BettiDiagram:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .binomials import binomial, green_bound
+from .binomials import binomial, green_bound, macaulay_bound
 from .hvectors import HVector, growth_violation, require_codim3
 from .betti import _lex_betti_columns
 
@@ -60,6 +60,20 @@ class Certificate:
         _set(self, "rule", rule)
         _set(self, "d", d)
         _set(self, "quantities", MappingProxyType(dict(quantities)))
+
+    @classmethod
+    def _adopt(cls, rule: str, d: int, quantities: dict[str, int]) -> "Certificate":
+        """A certificate over ``quantities`` itself, not a copy.
+
+        For :func:`classify`, whose dicts are fresh and never seen elsewhere;
+        the public constructor copies.
+        """
+        cert = cls.__new__(cls)
+        _set = object.__setattr__
+        _set(cert, "rule", rule)
+        _set(cert, "d", d)
+        _set(cert, "quantities", MappingProxyType(quantities))
+        return cert
 
     def __reduce__(self):
         return (Certificate, (self.rule, self.d, dict(self.quantities)))
@@ -123,8 +137,12 @@ def classify(h: HVector) -> Verdict:
     end-restricted rules only at d = s-1) and all firing certificates are
     collected.  Betti input is the per-degree integer columns behind
     :func:`~levelalg.betti.lex_betti`, read by index with no
-    :class:`~levelalg.betti.BettiDiagram` built; computing them also
-    validates h.
+    :class:`~levelalg.betti.BettiDiagram` built.  Computing them validates h
+    in the same pass (entries are integers by construction of
+    :class:`~levelalg.hvectors.HVector`): an invalid h raises the
+    ``require_codim3`` ValueError, and a valid one is never checked twice.
+    The same loop over d tracks whether the first difference grows within
+    the Macaulay bound, which decides R-LEVEL-DIFF when nothing fires.
     """
     _, b1, b2 = _lex_betti_columns(h)
     e = h.entries
@@ -133,59 +151,61 @@ def classify(h: HVector) -> Verdict:
         raise ValueError("classification requires socle degree at least 2")
 
     fired: list[Certificate] = []
+    adopt = Certificate._adopt
+    # Delta h = (1, 2, h_2 - 3, ...) is an O-sequence: h_2 <= 6 caps its
+    # degree-2 entry, and the loop checks each later step
+    differentiable = e[2] >= 3
     for d in range(2, s):  # d + 1 <= s, so e[d + 1] needs no zero padding
         beta1, beta2, beta2_next = b1[d + 2], b2[d + 2], b2[d + 3]
         h_dm1, h_d, h_dp1 = e[d - 1], e[d], e[d + 1]
         delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
+        if differentiable:
+            differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
 
         if beta2 > beta1:
-            fired.append(
-                Certificate(R_CANCEL, d, {"beta1_d2": beta1, "beta2_d2": beta2})
-            )
-        if beta1 == beta2 > 0 and beta2_next > 0:
-            fired.append(
-                Certificate(
-                    R_31,
-                    d,
-                    {"beta1_d2": beta1, "beta2_d2": beta2, "beta2_d3": beta2_next},
+            fired.append(adopt(R_CANCEL, d, {"beta1_d2": beta1, "beta2_d2": beta2}))
+        elif beta1 == beta2 > 0:
+            if beta2_next > 0:
+                fired.append(
+                    adopt(
+                        R_31,
+                        d,
+                        {"beta1_d2": beta1, "beta2_d2": beta2, "beta2_d3": beta2_next},
+                    )
                 )
-            )
-        if (
-            beta1 == beta2 > 0
-            and not (h_dm1 == h_d == h_dp1 == d + 1)
-            and not (h_dm1 < h_d < h_dp1)
-        ):
-            fired.append(
-                Certificate(
-                    R_33,
-                    d,
-                    {
-                        "beta1_d2": beta1,
-                        "beta2_d2": beta2,
-                        "h_dm1": h_dm1,
-                        "h_d": h_d,
-                        "h_dp1": h_dp1,
-                    },
+            increasing = h_dm1 < h_d < h_dp1
+            if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
+                fired.append(
+                    adopt(
+                        R_33,
+                        d,
+                        {
+                            "beta1_d2": beta1,
+                            "beta2_d2": beta2,
+                            "h_dm1": h_dm1,
+                            "h_d": h_d,
+                            "h_dp1": h_dp1,
+                        },
+                    )
                 )
-            )
-        if beta1 == beta2 > 0 and h_dm1 < h_d < h_dp1 and delta_hd != delta_hd1:
-            fired.append(
-                Certificate(
-                    R_37,
-                    d,
-                    {
-                        "beta1_d2": beta1,
-                        "beta2_d2": beta2,
-                        "delta_hd": delta_hd,
-                        "delta_hd1": delta_hd1,
-                    },
+            if increasing and delta_hd != delta_hd1:
+                fired.append(
+                    adopt(
+                        R_37,
+                        d,
+                        {
+                            "beta1_d2": beta1,
+                            "beta2_d2": beta2,
+                            "delta_hd": delta_hd,
+                            "delta_hd1": delta_hd1,
+                        },
+                    )
                 )
-            )
         if h_dm1 == h_d < h_dp1:
             green_next = green_bound(h_dp1, d + 1)
             if green_next <= 2 * delta_hd1:
                 fired.append(
-                    Certificate(
+                    adopt(
                         R_42,
                         d,
                         {
@@ -198,7 +218,7 @@ def classify(h: HVector) -> Verdict:
         if d + 1 == s:
             if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
                 fired.append(
-                    Certificate(
+                    adopt(
                         R_44A,
                         d,
                         {
@@ -211,7 +231,7 @@ def classify(h: HVector) -> Verdict:
                 )
             if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
                 fired.append(
-                    Certificate(
+                    adopt(
                         R_AS,
                         d,
                         {
@@ -225,10 +245,9 @@ def classify(h: HVector) -> Verdict:
 
     if fired:
         return Verdict(NOT_LEVEL, tuple(fired))
-    if h.is_differentiable():
-        diff = h.first_difference()
-        quantities = {f"delta_{i}": value for i, value in enumerate(diff)}
-        return Verdict(LEVEL, (Certificate(R_LEVEL_DIFF, s, quantities),))
+    if differentiable:
+        quantities = {f"delta_{i}": value for i, value in enumerate(h.first_difference())}
+        return Verdict(LEVEL, (adopt(R_LEVEL_DIFF, s, quantities),))
     return Verdict(UNKNOWN, ())
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Optional, Sequence
 
 from .binomials import macaulay_bound
@@ -29,21 +30,29 @@ def growth_violation(seq: Sequence[int]) -> Optional[int]:
 class HVector:
     """A finite sequence of non-negative integers (h_0, h_1, ..., h_s).
 
-    Trailing zeros are trimmed on construction, so the socle degree is always
-    the last index.  Construction does not require the sequence to be an
-    O-sequence; use :meth:`o_sequence_violation` / :meth:`is_o_sequence`.
+    Entries must be integers (anything ``operator.index`` accepts); floats and
+    strings raise ValueError rather than being truncated or parsed.  Trailing
+    zeros are trimmed on construction, so the socle degree is always the last
+    index.  Construction does not require the sequence to be an O-sequence;
+    use :meth:`o_sequence_violation` / :meth:`is_o_sequence`.
     """
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        try:
+            entries = tuple(map(index, self.entries))
+        except TypeError:
+            raise ValueError("h-vector entries must be integers") from None
         if not entries:
             raise ValueError("h-vector must have at least one entry")
-        if any(e < 0 for e in entries):
+        if min(entries) < 0:
             raise ValueError("h-vector entries must be non-negative")
-        while len(entries) > 1 and entries[-1] == 0:
-            entries = entries[:-1]
+        if entries[-1] == 0:
+            size = len(entries)
+            while size > 1 and entries[size - 1] == 0:
+                size -= 1
+            entries = entries[:size]
         object.__setattr__(self, "entries", entries)
 
     @classmethod

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable, NamedTuple, Optional
 
-from .binomials import binomial, green_bound
+from .binomials import binomial
 from .hvectors import HVector, require_codim3
 
 
@@ -45,18 +45,6 @@ class Monomial(NamedTuple):
 
     def divides(self, other: "Monomial") -> bool:
         return self.e1 <= other.e1 and self.e2 <= other.e2 and self.e3 <= other.e3
-
-    def mul_var(self, var: int) -> "Monomial":
-        e = list(self)
-        e[var - 1] += 1
-        return Monomial(*e)
-
-    def div_var(self, var: int) -> "Monomial":
-        e = list(self)
-        if e[var - 1] == 0:
-            raise ValueError(f"x{var} does not divide {self}")
-        e[var - 1] -= 1
-        return Monomial(*e)
 
     def __str__(self) -> str:
         parts = [
@@ -163,10 +151,6 @@ class MonomialIdeal:
                         r += 1
             self._member.append(row)
 
-    def contains(self, m: Monomial) -> bool:
-        self._ensure_tables(m.degree)
-        return self._member[m.degree][lex_rank(m)]
-
     def members_of_degree(self, t: int) -> list[bool]:
         """Membership bitset for degree t, indexed by lex rank."""
         self._ensure_tables(t)
@@ -212,14 +196,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({', '.join(str(m) for m in self.generators())})"
-
-    def render(self) -> str:
-        """One line per generator degree, monomials in descending lex."""
-        lines = []
-        for d in self.generator_degrees():
-            monoms = ", ".join(str(m) for m in self._gens_by_degree[d])
-            lines.append(f"deg {d}: {monoms}")
-        return "\n".join(lines)
 
 
 def lex_segment_ideal(h: HVector) -> MonomialIdeal:
@@ -314,20 +290,3 @@ def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
         if count:
             dims[t] = count
     return dims
-
-
-def reduction_number_r1_lex(h: HVector) -> int:
-    """First degree after which the lex quotient restricted to x3 = 0 vanishes.
-
-    Computed as min{l : green_bound(h_{l+1}, l+1) = 0}, which for the
-    lex-segment ideal agrees with scanning :func:`restricted_hf`.  This is an
-    invariant of the lex ideal specifically: other ideals with the same
-    Hilbert function can have a smaller reduction number.
-    """
-    violation = h.o_sequence_violation()
-    if violation is not None:
-        raise ValueError(f"not an O-sequence (violation at index {violation})")
-    level = 0
-    while green_bound(h.at(level + 1), level + 1) > 0:
-        level += 1
-    return level

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference Betti tables and seeded random generators."""
+"""Shared fixtures: reference Betti tables, seeded random generators, and
+monomial helpers that only the tests use."""
 
 from math import comb
 
@@ -8,6 +9,7 @@ from levelalg import (
     HVector,
     Monomial,
     MonomialIdeal,
+    green_bound,
     lex_rank,
     macaulay_bound,
     monomial_at,
@@ -70,6 +72,52 @@ def lex_compare(u, v):
     return (u > v) - (u < v)
 
 
+def mul_var(m, var):
+    """m * x_var."""
+    e = list(m)
+    e[var - 1] += 1
+    return Monomial(*e)
+
+
+def div_var(m, var):
+    """m / x_var; ValueError when x_var does not divide m."""
+    e = list(m)
+    if e[var - 1] == 0:
+        raise ValueError(f"x{var} does not divide {m}")
+    e[var - 1] -= 1
+    return Monomial(*e)
+
+
+def contains(ideal, m):
+    """Membership read from the ideal's rank tables, not by divisor scan."""
+    return ideal.members_of_degree(m.degree)[lex_rank(m)]
+
+
+def render_ideal(ideal):
+    """One line per generator degree, monomials in descending lex."""
+    return "\n".join(
+        f"deg {d}: " + ", ".join(str(m) for m in ideal.generators_of_degree(d))
+        for d in ideal.generator_degrees()
+    )
+
+
+def reduction_number_r1_lex(h):
+    """First degree after which the lex quotient restricted to x3 = 0 vanishes.
+
+    Computed as min{l : green_bound(h_{l+1}, l+1) = 0}, which for the
+    lex-segment ideal agrees with scanning ``restricted_hf``.  This is an
+    invariant of the lex ideal specifically: other ideals with the same
+    Hilbert function can have a smaller reduction number.
+    """
+    violation = h.o_sequence_violation()
+    if violation is not None:
+        raise ValueError(f"not an O-sequence (violation at index {violation})")
+    level = 0
+    while green_bound(h.at(level + 1), level + 1) > 0:
+        level += 1
+    return level
+
+
 def random_o_sequence(rng, max_s=8, cap=30):
     """Random walk under the growth bound; h1 = 3, socle degree in 2..max_s."""
     s = rng.randint(2, max_s)
@@ -96,7 +144,7 @@ def random_stable_ideal(rng, max_trunc=6, max_extras=4):
             exchanged
             for gen in ideal.generators()
             for exchanged in exchanges(gen)
-            if not ideal.contains(exchanged)
+            if not contains(ideal, exchanged)
         }
         if not missing:
             return ideal
@@ -109,7 +157,7 @@ def exchanges(gen):
     if gen.degree == 0:
         return []
     top = gen.max_var()
-    return [gen.div_var(top).mul_var(i) for i in range(1, top)]
+    return [mul_var(div_var(gen, top), i) for i in range(1, top)]
 
 
 def is_stable_by_exchange(ideal):
@@ -131,7 +179,7 @@ def colon_dim_by_scan(ideal, var, t):
     return sum(
         1
         for u in monomials_of_degree(t)
-        if not in_ideal_by_scan(ideal, u) and in_ideal_by_scan(ideal, u.mul_var(var))
+        if not in_ideal_by_scan(ideal, u) and in_ideal_by_scan(ideal, mul_var(u, var))
     )
 
 
@@ -141,7 +189,7 @@ def socle_dim_by_scan(ideal, t):
         1
         for u in monomials_of_degree(t)
         if not in_ideal_by_scan(ideal, u)
-        and all(in_ideal_by_scan(ideal, u.mul_var(v)) for v in (1, 2, 3))
+        and all(in_ideal_by_scan(ideal, mul_var(u, v)) for v in (1, 2, 3))
     )
 
 
@@ -154,7 +202,7 @@ def lex_generators_by_full_scan(h):
         for r in range(cuts[t]):
             m = monomial_at(t, r)
             if all(
-                lex_rank(m.div_var(v)) >= cuts[t - 1] for v in (1, 2, 3) if m[v - 1] > 0
+                lex_rank(div_var(m, v)) >= cuts[t - 1] for v in (1, 2, 3) if m[v - 1] > 0
             ):
                 gens.append(m)
     return gens

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levelalg import (
     BettiDiagram,
@@ -16,6 +17,7 @@ from levelalg import (
     lex_betti,
     lex_betti_window,
     lex_segment_ideal,
+    macaulay_bound,
     numerator_check,
     render_diagram,
     socle_dims,
@@ -23,6 +25,7 @@ from levelalg import (
 
 from levelalg import betti
 from levelalg.betti import _lex_betti_columns
+from levelalg.hvectors import require_codim3
 
 from _support import PAPER_BETTI, o_sequences, random_o_sequence, random_stable_ideal
 
@@ -80,6 +83,46 @@ def test_negative_generator_count_raises(monkeypatch, bound, wrong):
     for compute in (classify, lex_betti, lambda h: lex_betti_window(h, 5)):
         with pytest.raises(ValueError, match="negative lex generator count"):
             compute(h)
+
+
+@st.composite
+def near_o_sequences(draw):
+    """Socle degree 2..6 and positive entries past h_0: h_0 and h_1 are mostly
+    1 and 3, and each later entry lands under, on or just over its growth
+    bound, so any mix of a bad h_0, h_1 != 3 and growth violations occurs."""
+    entries = [draw(st.sampled_from((1, 1, 1, 0, 2))), draw(st.sampled_from((3, 3, 3, 2, 4)))]
+    for i in range(2, draw(st.integers(3, 7))):
+        bound = macaulay_bound(entries[-1], i - 1)
+        entries.append(
+            draw(st.one_of(st.integers(1, bound), st.integers(bound + 1, bound + 3)))
+        )
+    return HVector(tuple(entries))
+
+
+def _outcome(compute, h):
+    try:
+        compute(h)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_o_sequences())
+@example(HVector((2, 3, 6)))  # bad h_0
+@example(HVector((0, 3, 6, 10)))
+@example(HVector((1, 2, 3)))  # h_1 != 3
+@example(HVector((1, 4, 10, 20)))
+@example(HVector((1, 3, 7)))  # growth violation at the first step
+@example(HVector((1, 3, 6, 10, 15, 16, 18, 21)))  # ... at the last
+@example(HVector((1, 2, 3, 5)))  # h_1 != 3 and a later violation
+@example(HVector((1, 3, 6, 10, 15, 16, 18)))  # valid
+def test_fused_validation_raises_what_require_codim3_raises(h):
+    # the column loop validates h itself, and must refuse exactly the
+    # vectors require_codim3 refuses, with its message
+    expected = _outcome(require_codim3, h)
+    for compute in (classify, lex_betti, lambda h: lex_betti_window(h, 1)):
+        assert _outcome(compute, h) == expected, (h, compute)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import copy
+import gc
 import hashlib
+import importlib
 import json
 import pickle
 from dataclasses import replace
@@ -20,6 +22,7 @@ from levelalg import (
     lex_segment_ideal,
     replay_certificate,
 )
+from levelalg import hvectors
 from levelalg.classify import (
     LEVEL,
     NOT_LEVEL,
@@ -35,6 +38,9 @@ from levelalg.classify import (
 )
 
 from _support import LEVEL_VECTORS, NOT_LEVEL_VECTORS, o_sequences
+
+# the package exports the function classify under the module's name
+classify_module = importlib.import_module("levelalg.classify")
 
 # Where each Betti quantity of a certificate sits in the ideal's resolution,
 # as (q, shift - d).
@@ -171,12 +177,66 @@ def test_certificates_pickle_and_copy_through_plain_dicts():
                 cert.quantities["d"] = 0
 
 
+def _backing(cert):
+    """The dict behind a certificate's read-only quantities view."""
+    (mapping,) = gc.get_referents(cert.quantities)
+    return mapping
+
+
+def test_classify_certificates_own_their_quantities():
+    vectors = [HVector(e) for e in NOT_LEVEL_VECTORS + LEVEL_VECTORS]
+    verdicts = [classify(h) for h in vectors] + [classify(h) for h in vectors]
+    backing = [_backing(c) for v in verdicts for c in v.certificates]
+    assert {cert.rule for v in verdicts for cert in v.certificates} >= {R_31, R_LEVEL_DIFF}
+    assert all(type(mapping) is dict for mapping in backing)
+    # no two certificates, within a verdict or across verdicts, share a dict
+    assert len({id(mapping) for mapping in backing}) == len(backing)
+    for verdict in verdicts:
+        for cert in verdict.certificates:
+            with pytest.raises(TypeError):
+                cert.quantities["d"] = 0
+            with pytest.raises(TypeError):
+                del cert.quantities[next(iter(cert.quantities))]
+        for clone in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict)):
+            assert clone == verdict
+            assert clone.as_dict() == verdict.as_dict()
+            for mine, theirs in zip(clone.certificates, verdict.certificates):
+                assert _backing(mine) is not _backing(theirs)
+                assert replay_certificate(mine)
+                with pytest.raises(TypeError):
+                    mine.quantities["d"] = 0
+
+
+def test_valid_input_is_validated_once(monkeypatch):
+    # the Betti column loop is the only validation classify runs on valid
+    # input, and the R-LEVEL-DIFF growth check rides the rule loop
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify must not call growth_violation")
+
+    monkeypatch.setattr(hvectors, "growth_violation", forbidden)
+    monkeypatch.setattr(classify_module, "growth_violation", forbidden)
+    kinds = {classify(h).kind for h in enumerate_o_sequences(5, 12)}
+    assert kinds == {LEVEL, NOT_LEVEL, UNKNOWN}
+
+
 def test_no_vector_is_both_level_and_not_level_small_sweep():
     for s in range(2, 6):
         for h in enumerate_o_sequences(s, 12):
             verdict = classify(h)
             if verdict.kind == NOT_LEVEL:
                 assert not h.is_differentiable(), h
+            else:
+                # the rule loop's growth check on Delta h against its twin
+                assert (verdict.kind == LEVEL) == h.is_differentiable(), h
+
+
+@settings(max_examples=200, deadline=None)
+@given(o_sequences())
+def test_level_exactly_when_differentiable_property(h):
+    assume(h.socle_degree >= 2)
+    verdict = classify(h)
+    if verdict.kind != NOT_LEVEL:
+        assert (verdict.kind == LEVEL) == h.is_differentiable(), h
 
 
 def test_equality_positions_satisfy_the_dichotomy():

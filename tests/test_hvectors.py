@@ -20,6 +20,22 @@ def test_construction_rejects_bad_entries():
         HVector(())
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(1, 3, 5.9, 7.5), (1.0, 3), (1, 3, "6"), ("1", "3", "6")],
+)
+def test_construction_rejects_non_integer_entries(entries):
+    # floats are not truncated and numeric strings are not parsed
+    with pytest.raises(ValueError, match="h-vector entries must be integers"):
+        HVector(entries)
+
+
+def test_construction_accepts_integer_like_entries():
+    h = HVector((True, 3, 6))
+    assert h.entries == (1, 3, 6)
+    assert all(type(e) is int for e in h.entries)
+
+
 def test_parse_and_render():
     h = HVector.parse("1,3,6,10")
     assert h.entries == (1, 3, 6, 10)
