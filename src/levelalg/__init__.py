@@ -27,7 +27,6 @@ from .monomials import (
     lex_segment_ideal,
     monomial_at,
     monomial_count,
-    monomials_of_degree,
     quotient_hf,
     restricted_hf,
     socle_dims,
@@ -77,7 +76,6 @@ __all__ = [
     "macaulay_expansion",
     "monomial_at",
     "monomial_count",
-    "monomials_of_degree",
     "numerator_check",
     "quotient_hf",
     "render_diagram",

@@ -59,9 +59,6 @@ class BettiDiagram:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._table)
 
-    def total(self, q: int) -> int:
-        return sum(mult for (qq, _), mult in self.entries if qq == q)
-
     def max_shift(self) -> int:
         return max((j for (_, j), _ in self.entries), default=0)
 

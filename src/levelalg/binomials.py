@@ -39,10 +39,6 @@ class BinomialExpansion:
                 raise ValueError("indices must descend consecutively with strictly decreasing tops")
             prev_top, prev_idx = top, idx
 
-    @property
-    def value(self) -> int:
-        return sum(comb(top, idx) for top, idx in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -76,11 +76,6 @@ def monomial_at(t: int, rank: int) -> Monomial:
     return Monomial(t - tail, tail - e3, e3)
 
 
-def monomials_of_degree(t: int) -> list[Monomial]:
-    """All degree-t monomials, descending lex."""
-    return [monomial_at(t, r) for r in range(monomial_count(t))]
-
-
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 

@@ -2,10 +2,11 @@
 
 Everything here recomputes from first principles.  Ideal membership reads a
 staircase table built from the generator list alone, not the lex-rank
-tables of :mod:`levelalg.monomials`.  The colon and socle counts enumerate
-every monomial of the degree as a raw exponent triple and test it and its
-multiples against that table: linear in the number of monomials, with no
-monomial objects built.  Expansions are found by exhaustive search over
+tables of :mod:`levelalg.monomials`.  The x3-colon and socle counts come
+from one table up to the top degree asked for: every monomial of each degree
+is enumerated as a raw exponent triple and tested, with its multiples,
+against that table, linear in the number of monomials and with no monomial
+objects built.  Expansions are found by exhaustive search over
 index sequences rather than greedily, and O-sequences by filtering the full
 integer box; those two are slow on purpose.
 """
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Callable
 
 from .binomials import BinomialExpansion
 from .hvectors import HVector
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 
 
 def _staircase(ideal: MonomialIdeal, top: int) -> list[list[int]]:
@@ -53,60 +53,29 @@ def _staircase(ideal: MonomialIdeal, top: int) -> list[list[int]]:
     return corner
 
 
-def staircase_membership(
-    ideal: MonomialIdeal, top: int
-) -> Callable[[Monomial], bool]:
-    """Membership test for monomials of degree at most top.
+def colon_and_socle_dims(ideal: MonomialIdeal, top: int) -> list[tuple[int, int]]:
+    """(dim (J : x3)/J, socle dimension) of the quotient in each degree 0..top.
 
-    Some generator divides m exactly when corner[m.e1][m.e2] <= m.e3, with
-    the staircase table of :func:`_staircase`.  Reads only the generator list.
+    Full enumeration over one staircase table: a degree-t monomial u outside
+    the ideal counts towards the colon when x3*u is inside, and towards the
+    socle when x1*u and x2*u are inside too.
     """
-    corner = _staircase(ideal, top)
-    return lambda m: corner[m.e1][m.e2] <= m.e3
-
-
-def colon_dim_direct(ideal: MonomialIdeal, var: int, t: int) -> int:
-    """dim of (J : x_var)/J in degree t, by full enumeration.
-
-    Counts degree-t monomials u outside the ideal with x_var * u inside.
-    """
-    if var not in (1, 2, 3):
-        raise ValueError(f"variable index must be 1, 2 or 3, not {var}")
     # u = (e1, e2, e3) is in J when corner[e1][e2] <= e3; x1*u, x2*u and
     # x3*u are when corner[e1 + 1][e2], corner[e1][e2 + 1] <= e3 and
     # corner[e1][e2] <= e3 + 1
-    corner = _staircase(ideal, t + 1)
-    count = 0
-    for e1 in range(t + 1):
-        row, up = corner[e1], corner[e1 + 1]
-        for e2 in range(t - e1 + 1):
-            e3 = t - e1 - e2
-            if row[e2] <= e3:
-                continue
-            if var == 1:
-                count += up[e2] <= e3
-            elif var == 2:
-                count += row[e2 + 1] <= e3
-            else:
-                count += row[e2] <= e3 + 1
-    return count
-
-
-def socle_dim_direct(ideal: MonomialIdeal, t: int) -> int:
-    """Socle dimension of the quotient in degree t, by full enumeration.
-
-    Counts degree-t monomials u outside the ideal with x1*u, x2*u and x3*u
-    inside, read off the staircase as in :func:`colon_dim_direct`.
-    """
-    corner = _staircase(ideal, t + 1)
-    count = 0
-    for e1 in range(t + 1):
-        row, up = corner[e1], corner[e1 + 1]
-        for e2 in range(t - e1 + 1):
-            e3 = t - e1 - e2
-            if e3 < row[e2] <= e3 + 1 and up[e2] <= e3 and row[e2 + 1] <= e3:
-                count += 1
-    return count
+    corner = _staircase(ideal, top + 1)
+    dims = []
+    for t in range(top + 1):
+        colon = socle = 0
+        for e1 in range(t + 1):
+            row, up = corner[e1], corner[e1 + 1]
+            for e2 in range(t - e1 + 1):
+                e3 = t - e1 - e2
+                if e3 < row[e2] <= e3 + 1:
+                    colon += 1
+                    socle += up[e2] <= e3 and row[e2 + 1] <= e3
+        dims.append((colon, socle))
+    return dims
 
 
 def expansion_exhaustive(n: int, i: int) -> BinomialExpansion:

@@ -14,8 +14,8 @@ from levelalg import (
     macaulay_bound,
     monomial_at,
     monomial_count,
-    monomials_of_degree,
 )
+from levelalg.oracle import _staircase
 
 # Graded Betti numbers (ideal convention) of the lex-segment ideals of the
 # regression h-vectors; entries are {(q, shift): multiplicity}.  Verified
@@ -70,6 +70,19 @@ def lex_compare(u, v):
     if u.degree != v.degree:
         raise ValueError("lex comparison requires equal degrees")
     return (u > v) - (u < v)
+
+
+def monomials_of_degree(t):
+    """All degree-t monomials, descending lex."""
+    return [monomial_at(t, r) for r in range(monomial_count(t))]
+
+
+def staircase_membership(ideal, top):
+    """Membership test for monomials of degree at most top, read off the
+    oracle's staircase table: some generator divides m exactly when
+    corner[m.e1][m.e2] <= m.e3."""
+    corner = _staircase(ideal, top)
+    return lambda m: corner[m.e1][m.e2] <= m.e3
 
 
 def mul_var(m, var):

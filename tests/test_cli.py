@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from levelalg import BettiDiagram, cli, ek_betti
+import pytest
+
+from levelalg import BettiDiagram, cli, ek_betti, oracle
 from levelalg.cli import run
 
 
@@ -97,7 +99,7 @@ def test_betti_window(capsys):
     assert run(["betti", "1,3,6,10,15,16,18", "--window", "5"]) == 0
     assert capsys.readouterr().out.strip() == "beta1_d2=2 beta2_d2=2 beta2_d3=1"
     assert run(["betti", "1,3,4", "--window", "9"]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err.strip() == "d must satisfy 1 <= d <= socle degree"
 
 
 def test_classify_text(capsys):
@@ -151,6 +153,70 @@ def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal consistency failure" in captured.err
+
+
+VERIFY_VECTORS = ["1,3,6,10,15,16,18", "1,3,5,6,6,6,6", "1,3,6,10,12,14,16,18,19,20"]
+
+
+def without_top_degree(dims):
+    return {t: n for t, n in dims.items() if t != max(dims)}
+
+
+SOCLE_MUTANTS = {
+    "empty": lambda dims: {},
+    "top-degree-dropped": without_top_degree,
+    "extra-degree": lambda dims: {**dims, max(dims) + 1: 1},
+    "value-changed": lambda dims: {**dims, min(dims): dims[min(dims)] + 1},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SOCLE_MUTANTS))
+@pytest.mark.parametrize("entries", VERIFY_VECTORS)
+def test_classify_verification_catches_wrong_socle_dims(
+    capsys, monkeypatch, entries, mutant
+):
+    # the degrees checked come from h, not from the socle counts under test
+    real = cli.socle_dims
+    monkeypatch.setattr(cli, "socle_dims", lambda ideal: SOCLE_MUTANTS[mutant](real(ideal)))
+    assert run(["classify", entries, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "socle dimensions" in captured.err
+
+
+def test_classify_verification_matches_every_second_syzygy(capsys, monkeypatch):
+    # socle counts and oracle agree on a dropped top degree: its beta_2
+    # entry is then left without a socle counterpart, and must still fail
+    real_dims, real_oracle = cli.socle_dims, oracle.colon_and_socle_dims
+
+    def oracle_without_top_degree(ideal, top):
+        dims = real_oracle(ideal, top)
+        last = max(t for t, (_, n) in enumerate(dims) if n)
+        dims[last] = (dims[last][0], 0)
+        return dims
+
+    monkeypatch.setattr(cli, "socle_dims", lambda ideal: without_top_degree(real_dims(ideal)))
+    monkeypatch.setattr(oracle, "colon_and_socle_dims", oracle_without_top_degree)
+    assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "socle/Betti duality" in captured.err
+
+
+def test_classify_verification_builds_one_staircase(capsys, monkeypatch):
+    builds = []
+    real = oracle._staircase
+
+    def counted(ideal, top):
+        builds.append(top)
+        return real(ideal, top)
+
+    monkeypatch.setattr(oracle, "_staircase", counted)
+    for entries in VERIFY_VECTORS:
+        builds.clear()
+        assert run(["classify", entries, "--verify", "--json"]) == 0
+        assert len(builds) == 1, entries
+    capsys.readouterr()
 
 
 def test_classify_verification_checks_numerator_of_its_resolution(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from levelalg import (
     lex_segment_ideal,
     monomial_at,
     monomial_count,
-    monomials_of_degree,
     quotient_hf,
     restricted_hf,
     socle_dims,
@@ -28,6 +27,7 @@ from _support import (
     lex_compare,
     lex_generators_by_full_scan,
     monomial_ideals,
+    monomials_of_degree,
     mul_var,
     random_o_sequence,
     random_stable_ideal,

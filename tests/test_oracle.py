@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelalg import (
     HVector,
@@ -11,16 +12,13 @@ from levelalg import (
     enumerate_o_sequences,
     lex_segment_ideal,
     macaulay_expansion,
-    monomials_of_degree,
     socle_dims,
 )
 from levelalg import oracle
 from levelalg.oracle import (
-    colon_dim_direct,
+    colon_and_socle_dims,
     expansion_exhaustive,
     osequence_filter,
-    socle_dim_direct,
-    staircase_membership,
 )
 
 from _support import (
@@ -28,19 +26,31 @@ from _support import (
     colon_dim_by_scan,
     in_ideal_by_scan,
     monomial_ideals,
+    monomials_of_degree,
     random_stable_ideal,
     socle_dim_by_scan,
+    staircase_membership,
 )
 
 
+def dims_by_scan(ideal, top):
+    return [
+        (colon_dim_by_scan(ideal, 3, t), socle_dim_by_scan(ideal, t))
+        for t in range(top + 1)
+    ]
+
+
 def test_colon_dim_examples():
-    assert colon_dim_direct(lex_segment_ideal(HVector((1, 3))), 3, 1) == 3
+    # the square of the maximal ideal: all of degree 1 is colon and socle
+    assert colon_and_socle_dims(lex_segment_ideal(HVector((1, 3))), 1) == [
+        (0, 0), (3, 3),
+    ]
     lexi = lex_segment_ideal(HVector((1, 3, 6, 10, 15, 16, 18)))
-    assert colon_dim_direct(lexi, 3, 4) == 2
-    # u must lie outside the ideal and x_v * u inside; for (x1) every
-    # x1-free monomial qualifies
-    principal = MonomialIdeal([Monomial(1, 0, 0)])
-    assert colon_dim_direct(principal, 1, 5) == 6
+    assert colon_and_socle_dims(lexi, 4)[4] == (2, 2)
+    # u must lie outside the ideal and x3 * u inside; for (x3) every
+    # x3-free monomial qualifies, and none is in the socle
+    principal = MonomialIdeal([Monomial(0, 0, 1)])
+    assert colon_and_socle_dims(principal, 5) == [(t + 1, 0) for t in range(6)]
 
 
 def test_expansion_exhaustive_examples():
@@ -64,14 +74,14 @@ def test_osequence_filter_examples():
     assert osequence_filter(3, 4) == set(enumerate_o_sequences(3, 4))
 
 
-def test_socle_dim_direct_matches_primary():
+def test_oracle_socle_matches_primary():
     rng = random.Random(43)
     for _ in range(15):
         ideal = random_stable_ideal(rng, max_trunc=5, max_extras=3)
-        dims = socle_dims(ideal)
-        top = max(dims, default=0)
-        for t in range(top + 2):
-            assert socle_dim_direct(ideal, t) == dims.get(t, 0)
+        # the socle lies below the sum of the pure-power exponents
+        top = sum(ideal.pure_power_exponent(v) for v in (1, 2, 3))
+        direct = colon_and_socle_dims(ideal, top)
+        assert {t: n for t, (_, n) in enumerate(direct) if n} == socle_dims(ideal)
 
 
 @settings(max_examples=200, deadline=None)
@@ -82,10 +92,14 @@ def test_staircase_membership_matches_divisor_scan(ideal):
     for t in range(top + 1):
         for m in monomials_of_degree(t):
             assert member(m) == in_ideal_by_scan(ideal, m), (ideal, m)
-    for t in range(top):
-        assert socle_dim_direct(ideal, t) == socle_dim_by_scan(ideal, t)
-        for var in (1, 2, 3):
-            assert colon_dim_direct(ideal, var, t) == colon_dim_by_scan(ideal, var, t)
+    assert colon_and_socle_dims(ideal, top - 1) == dims_by_scan(ideal, top - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_ideals(), st.integers(0, 8), st.integers(0, 8))
+def test_colon_and_socle_dims_prefix_of_larger_top(ideal, low, high):
+    low, high = sorted((low, high))
+    assert colon_and_socle_dims(ideal, low) == colon_and_socle_dims(ideal, high)[: low + 1]
 
 
 def test_staircase_membership_examples():
@@ -102,12 +116,8 @@ def test_direct_counts_match_scan_counts_on_stable_ideals():
     rng = random.Random(47)
     for _ in range(15):
         ideal = random_stable_ideal(rng, max_trunc=5, max_extras=3)
-        for t in range(ideal.max_generator_degree() + 2):
-            assert socle_dim_direct(ideal, t) == socle_dim_by_scan(ideal, t)
-            for var in (1, 2, 3):
-                assert colon_dim_direct(ideal, var, t) == colon_dim_by_scan(
-                    ideal, var, t
-                )
+        top = ideal.max_generator_degree() + 1
+        assert colon_and_socle_dims(ideal, top) == dims_by_scan(ideal, top)
 
 
 @pytest.mark.parametrize("entries", sorted(PAPER_BETTI))
@@ -116,19 +126,8 @@ def test_direct_counts_match_scan_counts_on_paper_lex_ideals(entries):
     # the staircase is widest
     h = HVector(entries)
     ideal = lex_segment_ideal(h)
-    for t in range(h.socle_degree + 3):
-        assert socle_dim_direct(ideal, t) == socle_dim_by_scan(ideal, t), t
-        for var in (1, 2, 3):
-            assert colon_dim_direct(ideal, var, t) == colon_dim_by_scan(
-                ideal, var, t
-            ), (t, var)
-
-
-def test_colon_dim_direct_rejects_bad_variable():
-    ideal = MonomialIdeal([Monomial(1, 0, 0)])
-    for var in (0, 4):
-        with pytest.raises(ValueError):
-            colon_dim_direct(ideal, var, 2)
+    top = h.socle_degree + 2
+    assert colon_and_socle_dims(ideal, top) == dims_by_scan(ideal, top)
 
 
 def test_oracle_reads_no_rank_tables():
