@@ -162,13 +162,6 @@ def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
     return b1[d + 2], b2[d + 2], b2[d + 3]
 
 
-def _quotient_vanishing_degree(ideal: MonomialIdeal) -> int:
-    if not ideal.has_finite_colength():
-        raise ValueError("quotient Hilbert series is not a polynomial")
-    bound = sum(ideal.pure_power_exponent(v) for v in (1, 2, 3))
-    return next(t for t in range(bound + 1) if all(ideal.members_of_degree(t)))
-
-
 def numerator_check(ideal: MonomialIdeal) -> bool:
     """Hilbert-series numerator identity as an independent consistency check.
 
@@ -180,7 +173,7 @@ def numerator_check(ideal: MonomialIdeal) -> bool:
 
 def _numerator_identity(ideal: MonomialIdeal, diagram: BettiDiagram) -> bool:
     """:func:`numerator_check` against a diagram the caller already holds."""
-    vanish = _quotient_vanishing_degree(ideal)
+    vanish = ideal._vanishing_degree()
     hf = quotient_hf(ideal, max(vanish - 1, 0))
 
     size = max(diagram.max_shift(), vanish + 3) + 1

@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--quiet", action="store_true", help="result only, no detail")
+    terse = argparse.ArgumentParser(add_help=False, parents=[common])
+    terse.add_argument("--quiet", action="store_true", help="result only, no detail")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", parents=[common], help="Macaulay binomial expansion")
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--up", action="store_true", help="print the growth bound")
     mode.add_argument("--green", action="store_true", help="print the restriction bound")
 
-    p = sub.add_parser("validate", parents=[common], help="check the O-sequence conditions")
+    p = sub.add_parser("validate", parents=[terse], help="check the O-sequence conditions")
     p.add_argument("hvector", type=_hvector_arg)
 
     p = sub.add_parser("lex", parents=[common], help="lex-segment ideal generators")
@@ -88,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hvector", type=_hvector_arg)
     p.add_argument("--window", type=_positive, default=None, metavar="D")
 
-    p = sub.add_parser("classify", parents=[common], help="Level / NotLevel / Unknown")
+    p = sub.add_parser("classify", parents=[terse], help="Level / NotLevel / Unknown")
     p.add_argument("hvector", type=_hvector_arg)
     p.add_argument("--verify", action="store_true", help="re-run brute-force cross-checks")
 
-    p = sub.add_parser("construct", parents=[common], help="build level sequences")
+    p = sub.add_parser("construct", help="build level sequences")
     construct_sub = p.add_subparsers(dest="method", required=True)
     pi = construct_sub.add_parser("iarrobino", parents=[common])
     pi.add_argument("--base", type=_hvector_arg, required=True)
@@ -246,9 +247,9 @@ def _certificate_text(cert) -> str:
 
 
 def _cmd_classify(args) -> int:
+    verdict = classify(args.hvector)
     if args.verify:
         _verify_against_oracles(args.hvector)
-    verdict = classify(args.hvector)
     payload = {"hvector": list(args.hvector), **verdict.as_dict()}
     if args.quiet:
         text = verdict.kind

@@ -16,6 +16,7 @@ r + tail + 2.  The tables are built from these offsets alone.
 from __future__ import annotations
 
 from math import isqrt
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 from .binomials import binomial
@@ -55,6 +56,17 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+def _checked(m: Monomial) -> Monomial:
+    """m with its exponents checked: non-negative integers, as Monomial."""
+    try:
+        exponents = tuple(map(index, m))
+    except TypeError:
+        raise ValueError(f"monomial exponents must be integers: {m!r}") from None
+    if min(exponents) < 0:
+        raise ValueError(f"monomial exponents must be non-negative: {m!r}")
+    return Monomial(*exponents)
+
+
 def monomial_count(t: int) -> int:
     """Number of degree-t monomials in three variables: C(t+2, 2)."""
     return binomial(t + 2, 2)
@@ -79,12 +91,15 @@ def monomial_at(t: int, rank: int) -> Monomial:
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 
-    Immutable after construction.  Membership tables (one dense bitset per
-    degree, indexed by lex rank) are built lazily and cached.
+    Immutable after construction; exponents must be non-negative integers.
+    Membership tables (one dense bitset per degree, indexed by lex rank) are
+    built lazily and cached.
     """
 
     def __init__(self, generators: Iterable[Monomial]):
-        gens = sorted(set(generators), key=lambda m: (m.degree, lex_rank(m)))
+        gens = sorted(
+            {_checked(m) for m in generators}, key=lambda m: (m.degree, lex_rank(m))
+        )
         minimal: list[Monomial] = []
         for m in gens:
             if not any(g.divides(m) for g in minimal):
@@ -104,6 +119,9 @@ class MonomialIdeal:
         by_degree: dict[int, list[Monomial]] = {}
         for m in minimal:
             by_degree.setdefault(m.degree, []).append(m)
+        self._pure_powers = tuple(
+            next((m.degree for m in minimal if m[v] == m.degree), None) for v in range(3)
+        )
         self._gens_by_degree = {d: tuple(ms) for d, ms in by_degree.items()}
         self._generators = tuple(
             m for d in sorted(self._gens_by_degree) for m in self._gens_by_degree[d]
@@ -124,7 +142,8 @@ class MonomialIdeal:
     def max_generator_degree(self) -> int:
         return max(self._gens_by_degree, default=0)
 
-    def _ensure_tables(self, through: int) -> None:
+    def _ensure_tables(self, through: int) -> list[bool]:
+        """Build the membership rows through degree `through`; return that row."""
         while len(self._member) <= through:
             t = len(self._member)
             row = [False] * monomial_count(t)
@@ -145,11 +164,11 @@ class MonomialIdeal:
                         )
                         r += 1
             self._member.append(row)
+        return self._member[through]
 
     def members_of_degree(self, t: int) -> list[bool]:
         """Membership bitset for degree t, indexed by lex rank."""
-        self._ensure_tables(t)
-        return list(self._member[t])
+        return list(self._ensure_tables(t))
 
     def is_stable(self) -> bool:
         """Closed under the exchanges x_i * T / x_{m(T)} for i < m(T).
@@ -175,14 +194,19 @@ class MonomialIdeal:
 
     def pure_power_exponent(self, var: int) -> Optional[int]:
         """Exponent k with x_var^k a minimal generator, if one exists."""
-        for d, gens in self._gens_by_degree.items():
-            for m in gens:
-                if m[var - 1] == d:
-                    return d
-        return None
+        return self._pure_powers[var - 1]
 
     def has_finite_colength(self) -> bool:
-        return all(self.pure_power_exponent(v) is not None for v in (1, 2, 3))
+        return None not in self._pure_powers
+
+    def _vanishing_degree(self) -> int:
+        """Least degree in which every monomial lies in the ideal."""
+        if not self.has_finite_colength():
+            raise ValueError("ideal does not have finite colength")
+        t = 0
+        while not all(self._ensure_tables(t)):
+            t += 1
+        return t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -260,15 +284,10 @@ def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
     A degree-t monomial u outside the ideal is a socle element when all of
     x1*u, x2*u, x3*u fall inside.  Requires finite colength.
     """
-    if not ideal.has_finite_colength():
-        raise ValueError("socle undefined: ideal does not have finite colength")
-    bound = sum(ideal.pure_power_exponent(v) for v in (1, 2, 3))
     dims: dict[int, int] = {}
-    for t in range(bound + 1):
-        members = ideal.members_of_degree(t)
-        if all(members):
-            break
-        after = ideal.members_of_degree(t + 1)
+    # finding the vanishing degree built every row read here
+    for t in range(ideal._vanishing_degree()):
+        members, after = ideal._member[t], ideal._member[t + 1]
         count = 0
         r = 0
         for tail in range(t + 1):

@@ -255,3 +255,12 @@ def monomial_ideals(max_degree=6, max_gens=6):
     return st.lists(monomials(max_degree), min_size=1, max_size=max_gens).map(
         MonomialIdeal
     )
+
+
+@st.composite
+def finite_colength_ideals(draw, max_degree=6):
+    """monomial_ideals() plus a pure power of every variable, so of finite
+    colength; a degree-0 generator among the drawn ones gives the unit ideal."""
+    a1, a2, a3 = (draw(st.integers(1, max_degree)) for _ in range(3))
+    powers = (Monomial(a1, 0, 0), Monomial(0, a2, 0), Monomial(0, 0, a3))
+    return MonomialIdeal(draw(monomial_ideals(max_degree)).generators() + powers)

@@ -234,6 +234,24 @@ def test_classify_verification_checks_numerator_of_its_resolution(capsys, monkey
     assert "numerator mismatch" in captured.err
 
 
+def test_classify_refuses_before_verifying(capsys, monkeypatch):
+    # the verdict comes first: socle degree 1 is refused without building,
+    # resolving or cross-checking the lex ideal
+    calls = []
+
+    def record(name):
+        return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(cli, "lex_segment_ideal", record("lex_segment_ideal"))
+    monkeypatch.setattr(oracle, "colon_and_socle_dims", record("colon_and_socle_dims"))
+    monkeypatch.setattr(oracle, "expansion_exhaustive", record("expansion_exhaustive"))
+    assert run(["classify", "1,3", "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert "socle degree at least 2" in captured.err
+
+
 def test_classify_invalid_input(capsys):
     assert run(["classify", "1,3,7"]) == 3
     capsys.readouterr()
@@ -242,6 +260,42 @@ def test_classify_invalid_input(capsys):
 def test_construct_iarrobino(capsys):
     assert run(["construct", "iarrobino", "--base", "1,3,3"]) == 0
     assert capsys.readouterr().out.strip() == "1,3,4"
+
+
+def test_construct_iarrobino_json(capsys):
+    assert run(["construct", "iarrobino", "--base", "1,3,3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "asserted_level": True,
+        "base": [1, 3, 3],
+        "hvector": [1, 3, 4],
+    }
+
+
+def test_construct_group_takes_no_json(capsys):
+    # --json belongs to the leaf parser alone: on the group, the leaf's
+    # default would overwrite it
+    assert run(["construct", "--json", "iarrobino", "--base", "1,3,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --json" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "16", "6"],
+        ["lex", "1,3,5"],
+        ["betti", "1,3,5"],
+        ["construct", "iarrobino", "--base", "1,3,3"],
+        ["construct", "t44b", "--d", "7", "--ell", "6"],
+        ["enumerate", "--socle", "2", "--cap", "4"],
+    ],
+)
+def test_quiet_only_where_it_is_read(capsys, argv):
+    assert run(argv + ["--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --quiet" in captured.err
 
 
 def test_construct_iarrobino_rejects_invalid_base(capsys):

@@ -1,7 +1,8 @@
 import random
+from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from levelalg import (
     HVector,
@@ -14,6 +15,7 @@ from levelalg import (
     lex_segment_ideal,
     monomial_at,
     monomial_count,
+    numerator_check,
     quotient_hf,
     restricted_hf,
     socle_dims,
@@ -22,6 +24,7 @@ from levelalg.monomials import _lex_generators
 
 from _support import (
     contains,
+    finite_colength_ideals,
     in_ideal_by_scan,
     is_stable_by_exchange,
     lex_compare,
@@ -266,8 +269,41 @@ def test_socle_dims_examples():
 
 
 def test_socle_requires_finite_colength():
-    with pytest.raises(ValueError):
-        socle_dims(MonomialIdeal([Monomial(1, 0, 0)]))
+    # socle_dims and numerator_check share one finite-colength check
+    ideal = MonomialIdeal([Monomial(1, 0, 0)])
+    with pytest.raises(ValueError) as socle:
+        socle_dims(ideal)
+    with pytest.raises(ValueError) as numerator:
+        numerator_check(ideal)
+    assert str(socle.value) == str(numerator.value) == "ideal does not have finite colength"
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_colength_ideals())
+@example(MonomialIdeal([Monomial(0, 0, 0)]))
+def test_vanishing_degree_matches_divisor_scan(ideal):
+    full = next(
+        t for t in count() if all(in_ideal_by_scan(ideal, m) for m in monomials_of_degree(t))
+    )
+    assert ideal._vanishing_degree() == full
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals())
+def test_pure_power_exponent_matches_divisor_scan(ideal):
+    top = ideal.max_generator_degree()
+    for v in (1, 2, 3):
+        powers = (Monomial(*(k if i == v else 0 for i in (1, 2, 3))) for k in range(top + 1))
+        least = next((m.degree for m in powers if in_ideal_by_scan(ideal, m)), None)
+        assert ideal.pure_power_exponent(v) == least, (ideal, v)
+
+
+@pytest.mark.parametrize(
+    "bad", [Monomial(2, -1, 0), Monomial(1.5, 0.5, 0), Monomial("1", 0, 0)]
+)
+def test_ideal_rejects_malformed_exponents(bad):
+    with pytest.raises(ValueError, match="monomial exponents must be"):
+        MonomialIdeal([Monomial(0, 0, 2), bad])
 
 
 def test_restricted_hf_examples():
