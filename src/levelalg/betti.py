@@ -25,13 +25,16 @@ from .monomials import MonomialIdeal, quotient_hf
 class BettiDiagram:
     """Map (homological index q, shift j) -> multiplicity, for an ideal.
 
-    Zero entries are absent.  Shifts are minimal: every entry in homological
-    degree q >= 1 sits strictly above some entry in degree q - 1.
+    Zero entries are absent, and ``entries`` is kept sorted, so equality and
+    hashing do not depend on the order the entries came in.  Shifts are
+    minimal: every entry in homological degree q >= 1 sits strictly above
+    some entry in degree q - 1.
     """
 
     entries: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
         table: dict[tuple[int, int], int] = {}
         lowest: dict[int, int] = {}
         for (q, j), mult in self.entries:
@@ -50,8 +53,7 @@ class BettiDiagram:
 
     @classmethod
     def from_dict(cls, data: dict[tuple[int, int], int]) -> "BettiDiagram":
-        items = tuple(sorted((key, mult) for key, mult in data.items() if mult))
-        return cls(items)
+        return cls(tuple((key, mult) for key, mult in data.items() if mult))
 
     def beta(self, q: int, j: int) -> int:
         return self._table.get((q, j), 0)
@@ -66,7 +68,7 @@ class BettiDiagram:
         """Sorted ``{"q": ..., "shift": ..., "mult": ...}`` records."""
         return [
             {"q": q, "shift": j, "mult": mult}
-            for (q, j), mult in sorted(self.entries)
+            for (q, j), mult in self.entries
         ]
 
 
@@ -168,15 +170,14 @@ def numerator_check(ideal: MonomialIdeal) -> bool:
     Compares 1 - beta_0(t) + beta_1(t) - beta_2(t) against (1-t)^3 times the
     quotient Hilbert series, coefficient by coefficient.
     """
-    return _numerator_identity(ideal, ek_betti(ideal))
+    diagram = ek_betti(ideal)
+    return _numerator_identity(quotient_hf(ideal, ideal._vanishing_degree()), diagram)
 
 
-def _numerator_identity(ideal: MonomialIdeal, diagram: BettiDiagram) -> bool:
-    """:func:`numerator_check` against a diagram the caller already holds."""
-    vanish = ideal._vanishing_degree()
-    hf = quotient_hf(ideal, max(vanish - 1, 0))
-
-    size = max(diagram.max_shift(), vanish + 3) + 1
+def _numerator_identity(hf: tuple[int, ...], diagram: BettiDiagram) -> bool:
+    """The identity of :func:`numerator_check` for a Hilbert function hf,
+    zero past its last entry, and a diagram the caller already holds."""
+    size = max(diagram.max_shift(), len(hf) + 2) + 1
     lhs = [0] * size
     lhs[0] = 1
     for (q, j), mult in diagram.entries:

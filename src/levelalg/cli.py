@@ -31,7 +31,7 @@ from .classify import (
 )
 from .errors import ConsistencyError
 from .hvectors import HVector, enumerate_o_sequences
-from .monomials import count_gens_div_x3, lex_segment_ideal, socle_dims
+from .monomials import count_gens_div_x3, lex_segment_ideal, quotient_hf, socle_dims
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -202,8 +202,15 @@ def _cmd_betti(args) -> int:
 
 def _verify_against_oracles(h: HVector) -> None:
     ideal = lex_segment_ideal(h)
+    # The quotient vanishes from degree s + 1 on, so degrees 0..s+1 hold its
+    # whole Hilbert function and every colon and socle count; the range comes
+    # from h, not from the counts under test.
+    top = h.socle_degree + 1
+    hf = quotient_hf(ideal, top)
+    if hf != h.entries + (0,):
+        raise ConsistencyError(f"Hilbert function {hf} of R/lex({h}) is not h")
     betti = ek_betti(ideal)
-    if not _numerator_identity(ideal, betti):
+    if not _numerator_identity(hf, betti):
         raise ConsistencyError(f"Hilbert-series numerator mismatch for lex({h})")
     h_only = lex_betti(h)
     if h_only != betti:
@@ -211,10 +218,6 @@ def _verify_against_oracles(h: HVector) -> None:
             f"h-only Betti numbers {h_only.as_dict()} != resolution of lex({h}) "
             f"{betti.as_dict()}"
         )
-    # The quotient vanishes from degree s + 1 on, so degrees 0..s+1 hold
-    # every colon and socle count; the range comes from h, not from the
-    # counts under test.
-    top = h.socle_degree + 1
     direct = oracle.colon_and_socle_dims(ideal, top)
     # dim (J : x3)/J in degree t counts the generators of degree t + 1
     # divisible by x3

@@ -116,15 +116,14 @@ class MonomialIdeal:
         return ideal
 
     def _set_generators(self, minimal: list[Monomial]) -> None:
+        self._generators = tuple(minimal)
         by_degree: dict[int, list[Monomial]] = {}
         for m in minimal:
             by_degree.setdefault(m.degree, []).append(m)
-        self._pure_powers = tuple(
-            next((m.degree for m in minimal if m[v] == m.degree), None) for v in range(3)
-        )
         self._gens_by_degree = {d: tuple(ms) for d, ms in by_degree.items()}
-        self._generators = tuple(
-            m for d in sorted(self._gens_by_degree) for m in self._gens_by_degree[d]
+        # a pure power of every variable among the generators
+        self._finite_colength = all(
+            any(m[v] == m.degree for m in minimal) for v in range(3)
         )
         self._member: list[list[bool]] = []
         self._stable: Optional[bool] = None
@@ -143,7 +142,13 @@ class MonomialIdeal:
         return max(self._gens_by_degree, default=0)
 
     def _ensure_tables(self, through: int) -> list[bool]:
-        """Build the membership rows through degree `through`; return that row."""
+        """The membership row of degree `through`, built with every row below it.
+
+        The one reader of the row cache: a negative degree raises ValueError.
+        Callers read the returned row and must not change it.
+        """
+        if through < 0:
+            raise ValueError(f"degree must be non-negative, got {through}")
         while len(self._member) <= through:
             t = len(self._member)
             row = [False] * monomial_count(t)
@@ -178,30 +183,21 @@ class MonomialIdeal:
         x2 -> x1 at rank r - tail when e3 = 0 < e2.
         """
         if self._stable is None:
-            self._ensure_tables(self.max_generator_degree())
             self._stable = all(
                 self._exchanges_are_members(gen) for gen in self._generators
             )
         return self._stable
 
     def _exchanges_are_members(self, gen: Monomial) -> bool:
-        row = self._member[gen.degree]
-        tail = gen.e2 + gen.e3
-        r = tail * (tail + 1) // 2 + gen.e3
+        row = self._ensure_tables(gen.degree)
+        r, tail = lex_rank(gen), gen.e2 + gen.e3
         if gen.e3 > 0:
             return row[r - 1] and row[r - tail - 1]
         return gen.e2 == 0 or row[r - tail]
 
-    def pure_power_exponent(self, var: int) -> Optional[int]:
-        """Exponent k with x_var^k a minimal generator, if one exists."""
-        return self._pure_powers[var - 1]
-
-    def has_finite_colength(self) -> bool:
-        return None not in self._pure_powers
-
     def _vanishing_degree(self) -> int:
         """Least degree in which every monomial lies in the ideal."""
-        if not self.has_finite_colength():
+        if not self._finite_colength:
             raise ValueError("ideal does not have finite colength")
         t = 0
         while not all(self._ensure_tables(t)):
@@ -249,20 +245,19 @@ def _lex_generators(h: HVector) -> list[Monomial]:
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient ring in degrees 0..through."""
-    return tuple(ideal.members_of_degree(t).count(False) for t in range(through + 1))
+    return tuple(ideal._ensure_tables(t).count(False) for t in range(through + 1))
 
 
 def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient by the ideal plus (x3), degrees 0..through.
 
-    Counts the monomials in x1, x2 only that stay out of the ideal.
+    Counts the monomials in x1, x2 only that stay out of the ideal; the one
+    x1^a * x2^k of degree a + k has rank T(k).
     """
     out = []
     for t in range(through + 1):
-        members = ideal.members_of_degree(t)
-        out.append(
-            sum(1 for a in range(t + 1) if not members[lex_rank(Monomial(a, t - a, 0))])
-        )
+        row = ideal._ensure_tables(t)
+        out.append(sum(not row[k * (k + 1) // 2] for k in range(t + 1)))
     return tuple(out)
 
 
@@ -285,9 +280,8 @@ def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
     x1*u, x2*u, x3*u fall inside.  Requires finite colength.
     """
     dims: dict[int, int] = {}
-    # finding the vanishing degree built every row read here
     for t in range(ideal._vanishing_degree()):
-        members, after = ideal._member[t], ideal._member[t + 1]
+        members, after = ideal._ensure_tables(t), ideal._ensure_tables(t + 1)
         count = 0
         r = 0
         for tail in range(t + 1):

@@ -106,6 +106,18 @@ def contains(ideal, m):
     return ideal.members_of_degree(m.degree)[lex_rank(m)]
 
 
+def restricted_hf_by_monomials(ideal, through):
+    """Reference restricted_hf: builds each x1^a * x2^(t-a) as a Monomial and
+    reads its membership at its lex_rank."""
+    out = []
+    for t in range(through + 1):
+        members = ideal.members_of_degree(t)
+        out.append(
+            sum(1 for a in range(t + 1) if not members[lex_rank(Monomial(a, t - a, 0))])
+        )
+    return tuple(out)
+
+
 def render_ideal(ideal):
     """One line per generator degree, monomials in descending lex."""
     return "\n".join(

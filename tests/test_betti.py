@@ -39,6 +39,16 @@ def test_diagram_invariants_enforced():
         BettiDiagram((((1, 3), 1),))  # no earlier syzygy below shift 3
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.permutations(sorted(PAPER_BETTI[(1, 3, 5, 6, 6, 6, 6)].items())))
+def test_diagram_equality_and_hash_on_permuted_entries(entries):
+    permuted = BettiDiagram(tuple(entries))
+    reference = BettiDiagram.from_dict(PAPER_BETTI[(1, 3, 5, 6, 6, 6, 6)])
+    assert permuted == reference
+    assert hash(permuted) == hash(reference)
+    assert permuted.triples() == reference.triples()
+
+
 def test_ek_betti_maximal_ideal_square():
     diagram = ek_betti(lex_segment_ideal(HVector((1, 3))))
     assert diagram.as_dict() == {(0, 2): 6, (1, 3): 8, (2, 4): 3}
@@ -191,6 +201,14 @@ def test_numerator_identity():
     assert numerator_check(lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6))))
     with pytest.raises(ValueError):
         numerator_check(MonomialIdeal([Monomial(1, 0, 0)]))
+
+
+def test_numerator_identity_reads_the_hilbert_function_it_is_given():
+    ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
+    diagram = ek_betti(ideal)
+    assert betti._numerator_identity((1, 3, 5, 6, 6, 6, 6, 0), diagram)
+    assert not betti._numerator_identity((1, 3, 5, 6, 6, 6, 5, 0), diagram)
+    assert not betti._numerator_identity((1, 3, 5, 6, 6, 6), diagram)
 
 
 def test_socle_duality_and_colon_link():

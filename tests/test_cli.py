@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from levelalg import BettiDiagram, cli, ek_betti, oracle
+from levelalg import BettiDiagram, HVector, cli, ek_betti, oracle
 from levelalg.cli import run
 
 
@@ -232,6 +232,19 @@ def test_classify_verification_checks_numerator_of_its_resolution(capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerator mismatch" in captured.err
+
+
+def test_classify_verification_ties_the_ideal_to_h(capsys, monkeypatch):
+    # an ideal and Betti numbers that agree with each other, but belong to
+    # another h-vector of the same socle degree, must still fail
+    other = HVector.parse("1,3,1,1,1,1,1")
+    real_ideal, real_betti = cli.lex_segment_ideal, cli.lex_betti
+    monkeypatch.setattr(cli, "lex_segment_ideal", lambda h: real_ideal(other))
+    monkeypatch.setattr(cli, "lex_betti", lambda h: real_betti(other))
+    assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Hilbert function" in captured.err
 
 
 def test_classify_refuses_before_verifying(capsys, monkeypatch):

@@ -36,6 +36,7 @@ from _support import (
     random_stable_ideal,
     reduction_number_r1_lex,
     render_ideal,
+    restricted_hf_by_monomials,
 )
 
 
@@ -290,12 +291,33 @@ def test_vanishing_degree_matches_divisor_scan(ideal):
 
 @settings(max_examples=200, deadline=None)
 @given(monomial_ideals())
-def test_pure_power_exponent_matches_divisor_scan(ideal):
+@example(MonomialIdeal([Monomial(0, 0, 0)]))
+@example(MonomialIdeal([Monomial(2, 0, 0), Monomial(0, 2, 0), Monomial(1, 1, 1)]))
+def test_finite_colength_matches_divisor_scan(ideal):
+    # a power of x_v in the ideal is divisible by a pure-power generator,
+    # so the scan need not pass the top generator degree
     top = ideal.max_generator_degree()
-    for v in (1, 2, 3):
-        powers = (Monomial(*(k if i == v else 0 for i in (1, 2, 3))) for k in range(top + 1))
-        least = next((m.degree for m in powers if in_ideal_by_scan(ideal, m)), None)
-        assert ideal.pure_power_exponent(v) == least, (ideal, v)
+    lacks_power = any(
+        not any(
+            in_ideal_by_scan(ideal, Monomial(*(k if i == v else 0 for i in (1, 2, 3))))
+            for k in range(top + 1)
+        )
+        for v in (1, 2, 3)
+    )
+    if lacks_power:
+        with pytest.raises(ValueError, match="^ideal does not have finite colength$"):
+            ideal._vanishing_degree()
+    else:
+        ideal._vanishing_degree()
+
+
+def test_negative_degree_raises_before_and_after_rows_are_cached():
+    ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        ideal.members_of_degree(-1)
+    quotient_hf(ideal, 3)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        ideal.members_of_degree(-1)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +334,14 @@ def test_restricted_hf_examples():
     assert restricted_hf(lex_segment_ideal(HVector((1, 3))), 3) == (1, 2, 0, 0)
     lexi32 = lex_segment_ideal(HVector((1, 3, 6, 10, 15, 16, 18)))
     assert restricted_hf(lexi32, 5)[5] == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals(), finite_colength_ideals())
+def test_restricted_hf_matches_monomial_reference(ideal, finite):
+    for case in (ideal, finite):
+        through = case.max_generator_degree() + 2
+        assert restricted_hf(case, through) == restricted_hf_by_monomials(case, through)
 
 
 def test_restricted_hf_agrees_with_green_bound():

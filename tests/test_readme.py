@@ -1,8 +1,11 @@
+import builtins
 import doctest
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import levelalg
 from levelalg import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,3 +29,24 @@ def test_readme_cli_lines_exit_as_stated(capsys):
         expected = int(stated.group(1)) if stated else 0
         assert cli.run(shlex.split(line, comments=True)[1:]) == expected, line
     capsys.readouterr()
+
+
+def test_readme_library_overview_names_resolve():
+    # every backticked identifier in the "Library overview" table names an
+    # attribute of its row's module, of levelalg, or of builtins, so a
+    # deleted or renamed function cannot linger in the table
+    section = README.read_text().split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(levelalg\.\w+)`\s*\|(.*)\|$", section, re.M)
+    assert rows
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        names = [
+            name
+            for name in re.findall(r"`([^`]+)`", contents)
+            if name.isidentifier() and len(name) > 1
+        ]
+        assert names, module_name
+        for name in names:
+            assert any(
+                hasattr(scope, name) for scope in (module, levelalg, builtins)
+            ), (module_name, name)
