@@ -15,8 +15,9 @@ is the slow twin that verifies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
-from .binomials import binomial, green_bound, macaulay_bound
+from .binomials import green_bound, macaulay_bound
 from .hvectors import HVector, require_codim3
 from .monomials import MonomialIdeal, quotient_hf
 
@@ -25,6 +26,7 @@ from .monomials import MonomialIdeal, quotient_hf
 class BettiDiagram:
     """Map (homological index q, shift j) -> multiplicity, for an ideal.
 
+    q, shift and multiplicity must be integers and are stored as ``int``.
     Zero entries are absent, and ``entries`` is kept sorted, so equality and
     hashing do not depend on the order the entries came in.  Shifts are
     minimal: every entry in homological degree q >= 1 sits strictly above
@@ -34,10 +36,16 @@ class BettiDiagram:
     entries: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
         table: dict[tuple[int, int], int] = {}
         lowest: dict[int, int] = {}
-        for (q, j), mult in self.entries:
+        for entry in self.entries:
+            (q, j), mult = entry
+            try:
+                q, j, mult = index(q), index(j), index(mult)
+            except TypeError:
+                raise ValueError(
+                    f"Betti diagram entries must be integers: {entry!r}"
+                ) from None
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
             if not 0 <= q <= 2:
@@ -49,6 +57,7 @@ class BettiDiagram:
         for (q, j) in table:
             if q >= 1 and not lowest.get(q - 1, j) < j:
                 raise ValueError(f"shift {j} at q={q} has no earlier syzygy below it")
+        object.__setattr__(self, "entries", tuple(sorted(table.items())))
         object.__setattr__(self, "_table", table)
 
     @classmethod
@@ -77,13 +86,15 @@ def ek_betti(ideal: MonomialIdeal) -> BettiDiagram:
     if not ideal.is_stable():
         raise ValueError("ek_betti requires a stable ideal")
     entries: dict[tuple[int, int], int] = {}
-    for gen in ideal.generators():
-        top = gen.max_var()
-        for q in range(3):
-            mult = binomial(top - 1, q)
-            if mult:
-                key = (q, gen.degree + q)
-                entries[key] = entries.get(key, 0) + mult
+    for g in ideal.generator_degrees():
+        n = [0, 0, 0, 0]  # degree-g generators by largest variable x_m, m = 1..3
+        for gen in ideal.generators_of_degree(g):
+            n[gen.max_var()] += 1
+        # each adds C(m-1, q) to beta_{q, g+q}: the rows (1, 0, 0), (1, 1, 0)
+        # and (1, 2, 1) for m = 1, 2, 3, summed here column by column
+        entries[(0, g)] = n[1] + n[2] + n[3]
+        entries[(1, g + 1)] = n[2] + 2 * n[3]
+        entries[(2, g + 2)] = n[3]
     return BettiDiagram.from_dict(entries)
 
 

@@ -3,14 +3,16 @@
 The variable count is fixed at three throughout.  Degree-t monomials are
 indexed by their position in descending lexicographic order (x1 > x2 > x3),
 which makes lex segments plain prefixes: membership in a segment is a rank
-comparison, and per-degree membership of an arbitrary ideal is a dense
-boolean table over ranks.
+comparison, and per-degree membership of an arbitrary ideal is one Python
+int used as a bitset, bit r set when the monomial of rank r is a member.
 
 A monomial's rank is r = T(tail) + e3, with tail = e2 + e3 and
 T(k) = k(k+1)/2, independent of its degree.  So its neighbours one degree
 away have ranks known by arithmetic: dividing by x1, x2, x3 gives ranks r,
 r - tail, r - tail - 1, and multiplying by them gives r, r + tail + 1,
-r + tail + 2.  The tables are built from these offsets alone.
+r + tail + 2.  The ranks of one tail form a block of tail + 1 bits starting
+at T(tail), so each of these offsets is one shift of a whole block, and the
+rows are built and read a block at a time.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 
     Immutable after construction; exponents must be non-negative integers.
-    Membership tables (one dense bitset per degree, indexed by lex rank) are
-    built lazily and cached.
+    Membership rows (one int bitset per degree, bit r set when the monomial
+    of lex rank r is a member) are built lazily from the generators alone
+    and cached.
     """
 
     def __init__(self, generators: Iterable[Monomial]):
@@ -118,14 +121,15 @@ class MonomialIdeal:
     def _set_generators(self, minimal: list[Monomial]) -> None:
         self._generators = tuple(minimal)
         by_degree: dict[int, list[Monomial]] = {}
+        powers: set[int] = set()  # variables with a pure power among the generators
         for m in minimal:
-            by_degree.setdefault(m.degree, []).append(m)
+            d = m.e1 + m.e2 + m.e3
+            by_degree.setdefault(d, []).append(m)
+            if d in m:  # a pure power; the unit monomial is one of every variable
+                powers.update(v for v, e in enumerate(m) if e == d)
         self._gens_by_degree = {d: tuple(ms) for d, ms in by_degree.items()}
-        # a pure power of every variable among the generators
-        self._finite_colength = all(
-            any(m[v] == m.degree for m in minimal) for v in range(3)
-        )
-        self._member: list[list[bool]] = []
+        self._finite_colength = len(powers) == 3
+        self._member: list[int] = []
         self._stable: Optional[bool] = None
 
     def generators(self) -> tuple[Monomial, ...]:
@@ -141,39 +145,44 @@ class MonomialIdeal:
     def max_generator_degree(self) -> int:
         return max(self._gens_by_degree, default=0)
 
-    def _ensure_tables(self, through: int) -> list[bool]:
+    def _ensure_tables(self, through: int) -> int:
         """The membership row of degree `through`, built with every row below it.
 
-        The one reader of the row cache: a negative degree raises ValueError.
-        Callers read the returned row and must not change it.
+        The one reader of the row cache: a degree that is not a non-negative
+        integer raises ValueError before any row is built.
         """
+        try:
+            through = index(through)
+        except TypeError:
+            raise ValueError(f"degree must be an integer, got {through!r}") from None
         if through < 0:
             raise ValueError(f"degree must be non-negative, got {through}")
-        while len(self._member) <= through:
-            t = len(self._member)
-            row = [False] * monomial_count(t)
+        rows = self._member
+        while len(rows) <= through:
+            t = len(rows)
+            row = 0
             for m in self._gens_by_degree.get(t, ()):
-                row[lex_rank(m)] = True
+                row |= 1 << lex_rank(m)
             if t > 0:
                 # a non-generator is a member when one of its parents m/x1,
-                # m/x2, m/x3 (ranks r, r - tail, r - tail - 1) is
-                prev = self._member[t - 1]
-                r = 0
-                for tail in range(t + 1):
-                    for e3 in range(tail + 1):
-                        row[r] = (
-                            row[r]
-                            or (tail < t and prev[r])
-                            or (e3 < tail and prev[r - tail])
-                            or (e3 > 0 and prev[r - tail - 1])
-                        )
-                        r += 1
-            self._member.append(row)
-        return self._member[through]
+                # m/x2, m/x3 is.  The x1 parents are the previous row itself;
+                # block tail - 1 of it (T(tail - 1) = start, tail bits) holds
+                # the x2 parents of block tail shifted down by tail, and the
+                # x3 parents shifted down by tail + 1.
+                prev = rows[-1]
+                row |= prev
+                start = 0
+                for tail in range(1, t + 1):
+                    block = prev & (((1 << tail) - 1) << start)
+                    row |= (block | (block << 1)) << tail
+                    start += tail
+            rows.append(row)
+        return rows[through]
 
     def members_of_degree(self, t: int) -> list[bool]:
-        """Membership bitset for degree t, indexed by lex rank."""
-        return list(self._ensure_tables(t))
+        """Membership of the degree-t monomials, indexed by lex rank."""
+        row = self._ensure_tables(t)
+        return [bit == "1" for bit in reversed(f"{row:0{monomial_count(t)}b}")]
 
     def is_stable(self) -> bool:
         """Closed under the exchanges x_i * T / x_{m(T)} for i < m(T).
@@ -184,23 +193,29 @@ class MonomialIdeal:
         """
         if self._stable is None:
             self._stable = all(
-                self._exchanges_are_members(gen) for gen in self._generators
+                self._exchanges_are_members(d, gens)
+                for d, gens in self._gens_by_degree.items()
             )
         return self._stable
 
-    def _exchanges_are_members(self, gen: Monomial) -> bool:
-        row = self._ensure_tables(gen.degree)
-        r, tail = lex_rank(gen), gen.e2 + gen.e3
-        if gen.e3 > 0:
-            return row[r - 1] and row[r - tail - 1]
-        return gen.e2 == 0 or row[r - tail]
+    def _exchanges_are_members(self, d: int, gens: tuple[Monomial, ...]) -> bool:
+        """Whether the degree-d row holds every exchange of the degree-d
+        generators, tested as one mask."""
+        need = 0
+        for gen in gens:
+            r, tail = lex_rank(gen), gen.e2 + gen.e3
+            if gen.e3 > 0:
+                need |= (1 << (r - 1)) | (1 << (r - tail - 1))
+            elif gen.e2 > 0:
+                need |= 1 << (r - tail)
+        return self._ensure_tables(d) & need == need
 
     def _vanishing_degree(self) -> int:
         """Least degree in which every monomial lies in the ideal."""
         if not self._finite_colength:
             raise ValueError("ideal does not have finite colength")
         t = 0
-        while not all(self._ensure_tables(t)):
+        while self._ensure_tables(t) != (1 << monomial_count(t)) - 1:
             t += 1
         return t
 
@@ -230,22 +245,35 @@ def _lex_generators(h: HVector) -> list[Monomial]:
     s = h.socle_degree
     cuts = [monomial_count(t) - h.at(t) for t in range(s + 2)]
     gens = []
+    tail = start = 0  # the block holding rank lo, which starts at T(tail)
     for t in range(1, s + 2):
-        # A rank r < cuts[t-1] has tail < t, so its parent m/x1 (rank r)
-        # lies in the segment: only the new band can hold generators.
-        lo = cuts[t - 1]
-        for r in range(lo, cuts[t]):
-            m = monomial_at(t, r)
-            tail = m.e2 + m.e3
-            # m/x1 has rank r >= lo; m/x2 and m/x3 have ranks r - tail and r - tail - 1
-            if (m.e2 == 0 or r - tail >= lo) and (m.e3 == 0 or r - tail - 1 >= lo):
-                gens.append(m)
+        # A rank r < lo has tail < t, so its parent m/x1 (rank r) lies in the
+        # segment: only the new band [lo, hi) can hold generators.
+        lo, hi = cuts[t - 1], cuts[t]
+        while start + tail < lo:  # block tail ends below lo
+            start += tail + 1
+            tail += 1
+        k, block_start = tail, start
+        while block_start < hi:
+            # In block k, m/x2 has rank base + e3 and m/x3 rank base + e3 - 1,
+            # base = T(k - 1).  Both lie outside the segment (>= lo) for
+            # every e3 when base >= lo; otherwise e3 = 0 fails on m/x2 and
+            # e3 >= 1 needs base + e3 - 1 >= lo.  m/x1 has rank r >= lo.
+            base = block_start - k
+            first = 0 if base >= lo else lo - base + 1
+            last = min(k, hi - 1 - block_start)
+            gens.extend(Monomial(t - k, k - e3, e3) for e3 in range(first, last + 1))
+            block_start += k + 1
+            k += 1
     return gens
 
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient ring in degrees 0..through."""
-    return tuple(ideal._ensure_tables(t).count(False) for t in range(through + 1))
+    return tuple(
+        monomial_count(t) - ideal._ensure_tables(t).bit_count()
+        for t in range(through + 1)
+    )
 
 
 def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
@@ -255,9 +283,10 @@ def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     x1^a * x2^k of degree a + k has rank T(k).
     """
     out = []
+    corners = 0  # bits T(0), ..., T(t)
     for t in range(through + 1):
-        row = ideal._ensure_tables(t)
-        out.append(sum(not row[k * (k + 1) // 2] for k in range(t + 1)))
+        corners |= 1 << (t * (t + 1) // 2)
+        out.append(t + 1 - (ideal._ensure_tables(t) & corners).bit_count())
     return tuple(out)
 
 
@@ -280,21 +309,20 @@ def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
     x1*u, x2*u, x3*u fall inside.  Requires finite colength.
     """
     dims: dict[int, int] = {}
+    after = ideal._ensure_tables(0)
     for t in range(ideal._vanishing_degree()):
-        members, after = ideal._ensure_tables(t), ideal._ensure_tables(t + 1)
-        count = 0
-        r = 0
+        members, after = after, ideal._ensure_tables(t + 1)
+        # u of rank r in block tail has x1*u, x2*u, x3*u at ranks r,
+        # r + tail + 1, r + tail + 2: the x2 and x3 multiples of block tail
+        # are block tail + 1 of the next row, read at offsets 0 and 1;
+        # `multiples` marks the u with both of them in the ideal
+        multiples = 0
+        start = 0  # T(tail)
         for tail in range(t + 1):
-            for _ in range(tail + 1):
-                # x1*u, x2*u, x3*u have ranks r, r + tail + 1, r + tail + 2
-                if (
-                    not members[r]
-                    and after[r]
-                    and after[r + tail + 1]
-                    and after[r + tail + 2]
-                ):
-                    count += 1
-                r += 1
+            above = after >> (start + tail + 1)
+            multiples |= (above & (above >> 1) & ((1 << (tail + 1)) - 1)) << start
+            start += tail + 1
+        count = (multiples & after & ~members).bit_count()
         if count:
             dims[t] = count
     return dims

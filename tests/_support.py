@@ -218,6 +218,24 @@ def socle_dim_by_scan(ideal, t):
     )
 
 
+def ek_betti_by_generator(ideal):
+    """Reference Eliahou-Kervaire table: each generator T adds C(m(T) - 1, q)
+    to beta_{q, deg T + q}, m(T) its largest variable."""
+    table = {}
+    for gen in ideal.generators():
+        for q in range(3):
+            mult = comb(gen.max_var() - 1, q)
+            if mult:
+                key = (q, gen.degree + q)
+                table[key] = table.get(key, 0) + mult
+    return table
+
+
+def family_hvector(s, c):
+    """h_i = min(C(i+2, 2), 3i + c) for 1 <= i <= s: differentiable, so Level."""
+    return HVector((1,) + tuple(min(comb(i + 2, 2), 3 * i + c) for i in range(1, s + 1)))
+
+
 def lex_generators_by_full_scan(h):
     """Lex-segment generators from every rank below each cut, parents by lex_rank."""
     s = h.socle_degree

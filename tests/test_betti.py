@@ -27,7 +27,13 @@ from levelalg import betti
 from levelalg.betti import _lex_betti_columns
 from levelalg.hvectors import require_codim3
 
-from _support import PAPER_BETTI, o_sequences, random_o_sequence, random_stable_ideal
+from _support import (
+    PAPER_BETTI,
+    ek_betti_by_generator,
+    o_sequences,
+    random_o_sequence,
+    random_stable_ideal,
+)
 
 
 def test_diagram_invariants_enforced():
@@ -37,6 +43,23 @@ def test_diagram_invariants_enforced():
         BettiDiagram((((3, 5), 1),))  # q out of range
     with pytest.raises(ValueError):
         BettiDiagram((((1, 3), 1),))  # no earlier syzygy below shift 3
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(((0, 2), 1.5),), (((0, 2.0), 1),), ((("0", 2), 1),), (((0, 2), None),)],
+)
+def test_diagram_rejects_non_integer_entries(entries):
+    with pytest.raises(ValueError, match="Betti diagram entries must be integers"):
+        BettiDiagram(entries)
+
+
+def test_diagram_stores_integers():
+    diagram = BettiDiagram((((0, 2), True), ((True, 3), 2)))
+    assert diagram.entries == (((0, 2), 1), ((1, 3), 2))
+    assert all(type(n) is int for (q, j), mult in diagram.entries for n in (q, j, mult))
+    assert diagram == BettiDiagram.from_dict({(0, 2): 1, (1, 3): 2})
+    assert diagram.triples()[0] == {"q": 0, "shift": 2, "mult": 1}
 
 
 @settings(max_examples=50, deadline=None)
@@ -58,6 +81,16 @@ def test_ek_betti_maximal_ideal_square():
 def test_ek_betti_reproduces_reference_tables(entries):
     diagram = ek_betti(lex_segment_ideal(HVector(entries)))
     assert diagram.as_dict() == PAPER_BETTI[entries]
+
+
+def test_ek_betti_matches_per_generator_reference():
+    rng = random.Random(61)
+    for _ in range(40):
+        ideal = random_stable_ideal(rng, max_trunc=7, max_extras=6)
+        assert ek_betti(ideal).as_dict() == ek_betti_by_generator(ideal), ideal
+    for _ in range(20):
+        ideal = lex_segment_ideal(random_o_sequence(rng, max_s=10, cap=40))
+        assert ek_betti(ideal).as_dict() == ek_betti_by_generator(ideal), ideal
 
 
 def test_ek_betti_rejects_non_stable():

@@ -5,7 +5,6 @@ import importlib
 import json
 import pickle
 from dataclasses import replace
-from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +36,7 @@ from levelalg.classify import (
     Certificate,
 )
 
-from _support import LEVEL_VECTORS, NOT_LEVEL_VECTORS, o_sequences
+from _support import LEVEL_VECTORS, NOT_LEVEL_VECTORS, family_hvector, o_sequences
 
 # the package exports the function classify under the module's name
 classify_module = importlib.import_module("levelalg.classify")
@@ -356,9 +355,7 @@ def _digest_corpus():
     yield from enumerate_o_sequences(6, 20)
     for s in (32, 64):
         for c in range(41):
-            yield HVector(
-                (1,) + tuple(min(comb(i + 2, 2), 3 * i + c) for i in range(1, s + 1))
-            )
+            yield family_hvector(s, c)
 
 
 def test_verdict_json_bytes_unchanged():

@@ -24,6 +24,7 @@ from levelalg.monomials import _lex_generators
 
 from _support import (
     contains,
+    family_hvector,
     finite_colength_ideals,
     in_ideal_by_scan,
     is_stable_by_exchange,
@@ -32,11 +33,13 @@ from _support import (
     monomial_ideals,
     monomials_of_degree,
     mul_var,
+    o_sequences,
     random_o_sequence,
     random_stable_ideal,
     reduction_number_r1_lex,
     render_ideal,
     restricted_hf_by_monomials,
+    socle_dim_by_scan,
 )
 
 
@@ -221,6 +224,17 @@ def test_band_scan_matches_full_rank_scan():
             assert MonomialIdeal(band).generators() == tuple(band), h
 
 
+@settings(max_examples=100, deadline=None)
+@given(o_sequences(max_s=24))
+@example(family_hvector(20, 8))
+@example(family_hvector(20, 12))
+@example(family_hvector(24, 8))
+@example(family_hvector(24, 12))
+def test_band_walk_matches_full_rank_scan_at_verify_sizes(h):
+    # the verify workload runs s = 8..24, past the exhaustive check above
+    assert _lex_generators(h) == lex_generators_by_full_scan(h), h
+
+
 def test_segments_are_closed_under_multiplication():
     rng = random.Random(13)
     for _ in range(25):
@@ -242,6 +256,17 @@ def test_quotient_hf_reproduces_input():
         assert quotient_hf(lex_segment_ideal(h), s + 1) == tuple(
             h.at(t) for t in range(s + 2)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals(), finite_colength_ideals())
+def test_quotient_hf_matches_divisor_scan(ideal, finite):
+    for case in (ideal, finite):
+        through = case.max_generator_degree() + 2
+        assert quotient_hf(case, through) == tuple(
+            sum(not in_ideal_by_scan(case, m) for m in monomials_of_degree(t))
+            for t in range(through + 1)
+        ), case
 
 
 def test_quotient_hf_examples():
@@ -267,6 +292,20 @@ def test_socle_dims_examples():
     assert socle_dims(lex_segment_ideal(HVector((1, 3, 6, 10, 15, 16, 18)))) == {
         4: 2, 5: 1, 6: 18,
     }
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_colength_ideals(max_degree=4))
+@example(MonomialIdeal([Monomial(0, 0, 0)]))
+@example(MonomialIdeal([Monomial(0, 2, 0), Monomial(1, 0, 3), Monomial(3, 0, 0),
+                        Monomial(0, 0, 4)]))
+def test_socle_dims_matches_divisor_scan(ideal):
+    # x1^a1, x2^a2, x3^a3 in the ideal put its socle below degree a1 + a2 + a3 - 2
+    top = sum(
+        min(g.degree for g in ideal.generators() if g[v] == g.degree) for v in range(3)
+    )
+    expected = {t: n for t in range(top) if (n := socle_dim_by_scan(ideal, t))}
+    assert socle_dims(ideal) == expected, ideal
 
 
 def test_socle_requires_finite_colength():
@@ -318,6 +357,19 @@ def test_negative_degree_raises_before_and_after_rows_are_cached():
     quotient_hf(ideal, 3)
     with pytest.raises(ValueError, match="degree must be non-negative"):
         ideal.members_of_degree(-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", None])
+def test_non_integer_degree_raises_before_rows_are_built(bad):
+    ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
+    for reader in (ideal.members_of_degree, ideal._ensure_tables):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            reader(bad)
+    assert ideal._member == []
+    quotient_hf(ideal, 3)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        ideal.members_of_degree(bad)
+    assert len(ideal._member) == 4
 
 
 @pytest.mark.parametrize(
