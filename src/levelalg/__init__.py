@@ -23,10 +23,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     count_gens_div_x3,
-    lex_rank,
     lex_segment_ideal,
-    monomial_at,
-    monomial_count,
     quotient_hf,
     restricted_hf,
     socle_dims,
@@ -70,12 +67,9 @@ __all__ = [
     "iarrobino_lift",
     "lex_betti",
     "lex_betti_window",
-    "lex_rank",
     "lex_segment_ideal",
     "macaulay_bound",
     "macaulay_expansion",
-    "monomial_at",
-    "monomial_count",
     "numerator_check",
     "quotient_hf",
     "render_diagram",

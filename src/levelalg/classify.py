@@ -31,7 +31,20 @@ R_44A = "R-44A"
 R_AS = "R-AS"
 R_LEVEL_DIFF = "R-LEVEL-DIFF"
 
-NOT_LEVEL_RULES = (R_CANCEL, R_31, R_33, R_37, R_42, R_44A, R_AS)
+# Each obstruction rule and the names of the integers its certificate
+# stores, in the order they are printed.  R-LEVEL-DIFF is not here: it
+# stores the first difference of h, one name per entry.
+RULES: dict[str, tuple[str, ...]] = {
+    R_CANCEL: ("beta1_d2", "beta2_d2"),
+    R_31: ("beta1_d2", "beta2_d2", "beta2_d3"),
+    R_33: ("beta1_d2", "beta2_d2", "h_dm1", "h_d", "h_dp1"),
+    R_37: ("beta1_d2", "beta2_d2", "delta_hd", "delta_hd1"),
+    R_42: ("delta_hd", "delta_hd1", "green_hd1"),
+    R_44A: ("delta_hd", "delta_hd1", "h_d", "bound"),
+    R_AS: ("delta_hd", "delta_hd1", "h_d", "bound"),
+}
+
+NOT_LEVEL_RULES = tuple(RULES)
 
 LEVEL = "Level"
 NOT_LEVEL = "NotLevel"
@@ -62,17 +75,17 @@ class Certificate:
         _set(self, "quantities", MappingProxyType(dict(quantities)))
 
     @classmethod
-    def _adopt(cls, rule: str, d: int, quantities: dict[str, int]) -> "Certificate":
-        """A certificate over ``quantities`` itself, not a copy.
+    def _adopt(cls, rule: str, d: int, values: tuple[int, ...]) -> "Certificate":
+        """The certificate of a table rule, its values paired with ``RULES[rule]``.
 
-        For :func:`classify`, whose dicts are fresh and never seen elsewhere;
-        the public constructor copies.
+        For :func:`classify`: the pairing builds a fresh dict, so the public
+        constructor's copy is skipped.
         """
         cert = cls.__new__(cls)
         _set = object.__setattr__
         _set(cert, "rule", rule)
         _set(cert, "d", d)
-        _set(cert, "quantities", MappingProxyType(quantities))
+        _set(cert, "quantities", MappingProxyType(dict(zip(RULES[rule], values))))
         return cert
 
     def __reduce__(self):
@@ -95,8 +108,24 @@ class Verdict:
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Re-evaluate a certificate's inequality from its stored quantities."""
+    """Re-evaluate a certificate's inequality from its stored quantities.
+
+    Raises ValueError for an unknown rule, or when the quantity names are not
+    exactly the rule's: ``RULES[rule]``, or ``delta_0`` .. ``delta_{n-1}``
+    for R-LEVEL-DIFF.  Their order does not matter, so a certificate read
+    back from sorted JSON replays too.
+    """
     q = cert.quantities
+    if cert.rule == R_LEVEL_DIFF:
+        names = [f"delta_{i}" for i in range(len(q))]
+    elif cert.rule in RULES:
+        names = RULES[cert.rule]
+    else:
+        raise ValueError(f"unknown rule {cert.rule!r}")
+    if sorted(q) != sorted(names):
+        raise ValueError(
+            f"{cert.rule} certificate stores {sorted(q)}, expected {sorted(names)}"
+        )
     if cert.rule == R_CANCEL:
         return q["beta2_d2"] > q["beta1_d2"]
     if cert.rule == R_31:
@@ -125,9 +154,7 @@ def replay_certificate(cert: Certificate) -> bool:
     if cert.rule == R_AS:
         return q["delta_hd"] < 0 and q["delta_hd1"] == 0 and q["h_d"] <= q["bound"]
     if cert.rule == R_LEVEL_DIFF:
-        diff = [q[f"delta_{i}"] for i in range(len(q))]
-        return growth_violation(diff) is None
-    raise ValueError(f"unknown rule {cert.rule!r}")
+        return growth_violation([q[name] for name in names]) is None
 
 
 def classify(h: HVector) -> Verdict:
@@ -163,91 +190,30 @@ def classify(h: HVector) -> Verdict:
             differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
 
         if beta2 > beta1:
-            fired.append(adopt(R_CANCEL, d, {"beta1_d2": beta1, "beta2_d2": beta2}))
+            fired.append(adopt(R_CANCEL, d, (beta1, beta2)))
         elif beta1 == beta2 > 0:
             if beta2_next > 0:
-                fired.append(
-                    adopt(
-                        R_31,
-                        d,
-                        {"beta1_d2": beta1, "beta2_d2": beta2, "beta2_d3": beta2_next},
-                    )
-                )
+                fired.append(adopt(R_31, d, (beta1, beta2, beta2_next)))
             increasing = h_dm1 < h_d < h_dp1
             if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
-                fired.append(
-                    adopt(
-                        R_33,
-                        d,
-                        {
-                            "beta1_d2": beta1,
-                            "beta2_d2": beta2,
-                            "h_dm1": h_dm1,
-                            "h_d": h_d,
-                            "h_dp1": h_dp1,
-                        },
-                    )
-                )
+                fired.append(adopt(R_33, d, (beta1, beta2, h_dm1, h_d, h_dp1)))
             if increasing and delta_hd != delta_hd1:
-                fired.append(
-                    adopt(
-                        R_37,
-                        d,
-                        {
-                            "beta1_d2": beta1,
-                            "beta2_d2": beta2,
-                            "delta_hd": delta_hd,
-                            "delta_hd1": delta_hd1,
-                        },
-                    )
-                )
+                fired.append(adopt(R_37, d, (beta1, beta2, delta_hd, delta_hd1)))
         if h_dm1 == h_d < h_dp1:
             green_next = green_bound(h_dp1, d + 1)
             if green_next <= 2 * delta_hd1:
-                fired.append(
-                    adopt(
-                        R_42,
-                        d,
-                        {
-                            "delta_hd": delta_hd,
-                            "delta_hd1": delta_hd1,
-                            "green_hd1": green_next,
-                        },
-                    )
-                )
+                fired.append(adopt(R_42, d, (delta_hd, delta_hd1, green_next)))
         if d + 1 == s:
             if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
-                fired.append(
-                    adopt(
-                        R_44A,
-                        d,
-                        {
-                            "delta_hd": delta_hd,
-                            "delta_hd1": delta_hd1,
-                            "h_d": h_d,
-                            "bound": 3 * d + 2,
-                        },
-                    )
-                )
+                fired.append(adopt(R_44A, d, (delta_hd, delta_hd1, h_d, 3 * d + 2)))
             if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
-                fired.append(
-                    adopt(
-                        R_AS,
-                        d,
-                        {
-                            "delta_hd": delta_hd,
-                            "delta_hd1": delta_hd1,
-                            "h_d": h_d,
-                            "bound": 2 * d + 3,
-                        },
-                    )
-                )
+                fired.append(adopt(R_AS, d, (delta_hd, delta_hd1, h_d, 2 * d + 3)))
 
     if fired:
         return Verdict(NOT_LEVEL, tuple(fired))
     if differentiable:
         quantities = {f"delta_{i}": value for i, value in enumerate(h.first_difference())}
-        return Verdict(LEVEL, (adopt(R_LEVEL_DIFF, s, quantities),))
+        return Verdict(LEVEL, (Certificate(R_LEVEL_DIFF, s, quantities),))
     return Verdict(UNKNOWN, ())
 
 

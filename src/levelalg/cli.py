@@ -23,8 +23,11 @@ from .betti import (
     render_diagram,
 )
 from .classify import (
+    LEVEL,
+    NOT_LEVEL,
     NOT_LEVEL_RULES,
     R_LEVEL_DIFF,
+    UNKNOWN,
     classify,
     construct_plateau_level,
     iarrobino_lift,
@@ -292,8 +295,8 @@ def _cmd_enumerate(args) -> int:
         for h in stream:
             print(json.dumps(list(h)) if args.json else str(h))
         return EXIT_OK
-    tally = {"Level": 0, "NotLevel": 0, "Unknown": 0}
-    rule_counts = {rule: 0 for rule in NOT_LEVEL_RULES + (R_LEVEL_DIFF,)}
+    tally = dict.fromkeys((LEVEL, NOT_LEVEL, UNKNOWN), 0)
+    rule_counts = dict.fromkeys(NOT_LEVEL_RULES + (R_LEVEL_DIFF,), 0)
     total = 0
     for h in stream:
         verdict = classify(h)
@@ -303,8 +306,8 @@ def _cmd_enumerate(args) -> int:
             rule_counts[cert.rule] += 1
     payload = {"total": total, "verdicts": tally, "rules": rule_counts}
     lines = [f"total: {total}"]
-    lines.extend(f"{kind}: {tally[kind]}" for kind in ("Level", "NotLevel", "Unknown"))
-    lines.extend(f"{rule}: {rule_counts[rule]}" for rule in NOT_LEVEL_RULES + (R_LEVEL_DIFF,))
+    for counts in (tally, rule_counts):
+        lines.extend(f"{key}: {n}" for key, n in counts.items())
     _emit(payload, args.json, "\n".join(lines))
     return EXIT_OK
 

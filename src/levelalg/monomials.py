@@ -17,7 +17,6 @@ rows are built and read a block at a time.
 
 from __future__ import annotations
 
-from math import isqrt
 from operator import index
 from typing import Iterable, NamedTuple, Optional
 
@@ -80,14 +79,15 @@ def lex_rank(m: Monomial) -> int:
     return tail * (tail + 1) // 2 + m.e3
 
 
-def monomial_at(t: int, rank: int) -> Monomial:
-    """Inverse of :func:`lex_rank` within degree t."""
-    if not 0 <= rank < monomial_count(t):
-        raise IndexError(f"rank {rank} out of range for degree {t}")
-    # the largest tail with T(tail) <= rank, where T(k) = k(k+1)/2
-    tail = (isqrt(8 * rank + 1) - 1) // 2
-    e3 = rank - tail * (tail + 1) // 2
-    return Monomial(t - tail, tail - e3, e3)
+def _degree(t) -> int:
+    """t as an int, or ValueError unless it is a non-negative integer."""
+    try:
+        t = index(t)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {t!r}") from None
+    if t < 0:
+        raise ValueError(f"degree must be non-negative, got {t}")
+    return t
 
 
 class MonomialIdeal:
@@ -142,21 +142,13 @@ class MonomialIdeal:
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self._gens_by_degree))
 
-    def max_generator_degree(self) -> int:
-        return max(self._gens_by_degree, default=0)
-
     def _ensure_tables(self, through: int) -> int:
         """The membership row of degree `through`, built with every row below it.
 
         The one reader of the row cache: a degree that is not a non-negative
         integer raises ValueError before any row is built.
         """
-        try:
-            through = index(through)
-        except TypeError:
-            raise ValueError(f"degree must be an integer, got {through!r}") from None
-        if through < 0:
-            raise ValueError(f"degree must be non-negative, got {through}")
+        through = _degree(through)
         rows = self._member
         while len(rows) <= through:
             t = len(rows)
@@ -178,11 +170,6 @@ class MonomialIdeal:
                     start += tail
             rows.append(row)
         return rows[through]
-
-    def members_of_degree(self, t: int) -> list[bool]:
-        """Membership of the degree-t monomials, indexed by lex rank."""
-        row = self._ensure_tables(t)
-        return [bit == "1" for bit in reversed(f"{row:0{monomial_count(t)}b}")]
 
     def is_stable(self) -> bool:
         """Closed under the exchanges x_i * T / x_{m(T)} for i < m(T).
@@ -272,7 +259,7 @@ def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient ring in degrees 0..through."""
     return tuple(
         monomial_count(t) - ideal._ensure_tables(t).bit_count()
-        for t in range(through + 1)
+        for t in range(_degree(through) + 1)
     )
 
 
@@ -284,7 +271,7 @@ def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """
     out = []
     corners = 0  # bits T(0), ..., T(t)
-    for t in range(through + 1):
+    for t in range(_degree(through) + 1):
         corners |= 1 << (t * (t + 1) // 2)
         out.append(t + 1 - (ideal._ensure_tables(t) & corners).bit_count())
     return tuple(out)
@@ -297,6 +284,7 @@ def count_gens_div_x3(ideal: MonomialIdeal, g: int) -> int:
     g - 1; the equality is meaningless otherwise, so non-stable input is
     rejected.
     """
+    g = _degree(g)
     if not ideal.is_stable():
         raise ValueError("count_gens_div_x3 requires a stable ideal")
     return sum(1 for m in ideal.generators_of_degree(g) if m.e3 > 0)

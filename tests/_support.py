@@ -1,7 +1,7 @@
 """Shared fixtures: reference Betti tables, seeded random generators, and
 monomial helpers that only the tests use."""
 
-from math import comb
+from math import comb, isqrt
 
 from hypothesis import strategies as st
 
@@ -10,11 +10,9 @@ from levelalg import (
     Monomial,
     MonomialIdeal,
     green_bound,
-    lex_rank,
     macaulay_bound,
-    monomial_at,
-    monomial_count,
 )
+from levelalg.monomials import lex_rank, monomial_count
 from levelalg.oracle import _staircase
 
 # Graded Betti numbers (ideal convention) of the lex-segment ideals of the
@@ -72,6 +70,27 @@ def lex_compare(u, v):
     return (u > v) - (u < v)
 
 
+def monomial_at(t, rank):
+    """Inverse of :func:`~levelalg.monomials.lex_rank` within degree t."""
+    if not 0 <= rank < monomial_count(t):
+        raise IndexError(f"rank {rank} out of range for degree {t}")
+    # the largest tail with T(tail) <= rank, where T(k) = k(k+1)/2
+    tail = (isqrt(8 * rank + 1) - 1) // 2
+    e3 = rank - tail * (tail + 1) // 2
+    return Monomial(t - tail, tail - e3, e3)
+
+
+def members_of_degree(ideal, t):
+    """Membership of the degree-t monomials, indexed by lex rank, read from
+    the ideal's bitset row."""
+    row = ideal._ensure_tables(t)
+    return [bit == "1" for bit in reversed(f"{row:0{monomial_count(t)}b}")]
+
+
+def max_generator_degree(ideal):
+    return max(ideal.generator_degrees(), default=0)
+
+
 def monomials_of_degree(t):
     """All degree-t monomials, descending lex."""
     return [monomial_at(t, r) for r in range(monomial_count(t))]
@@ -103,7 +122,7 @@ def div_var(m, var):
 
 def contains(ideal, m):
     """Membership read from the ideal's rank tables, not by divisor scan."""
-    return ideal.members_of_degree(m.degree)[lex_rank(m)]
+    return members_of_degree(ideal, m.degree)[lex_rank(m)]
 
 
 def restricted_hf_by_monomials(ideal, through):
@@ -111,7 +130,7 @@ def restricted_hf_by_monomials(ideal, through):
     reads its membership at its lex_rank."""
     out = []
     for t in range(through + 1):
-        members = ideal.members_of_degree(t)
+        members = members_of_degree(ideal, t)
         out.append(
             sum(1 for a in range(t + 1) if not members[lex_rank(Monomial(a, t - a, 0))])
         )

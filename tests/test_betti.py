@@ -216,6 +216,12 @@ def test_lex_betti_window_bounds_checked():
         lex_betti_window(HVector((1, 3, 4)), 3)
 
 
+@pytest.mark.parametrize("bad", [2.5, "2", None])
+def test_lex_betti_window_rejects_non_integer_d(bad):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        lex_betti_window(HVector((1, 3, 6, 10, 15, 16, 18)), bad)
+
+
 def test_window_agrees_with_resolution_everywhere():
     rng = random.Random(31)
     for _ in range(40):

@@ -32,6 +32,7 @@ from levelalg.classify import (
     R_44A,
     R_CANCEL,
     R_LEVEL_DIFF,
+    RULES,
     UNKNOWN,
     Certificate,
 )
@@ -140,6 +141,48 @@ def test_replay_detects_tampering():
     assert not replay_certificate(tampered)
     with pytest.raises(ValueError):
         replay_certificate(Certificate("R-BOGUS", 2, {}))
+
+
+@pytest.mark.parametrize(
+    "rule, quantities",
+    [
+        (R_31, {"beta1_d2": 2, "beta2_d2": 2}),
+        (R_CANCEL, {"beta1_d2": 1, "beta2_d2": 2, "junk": 0}),
+        (R_LEVEL_DIFF, {"delta_0": 1, "delta_1": 2, "delta_3": 0}),
+        (R_LEVEL_DIFF, {"delta_0": 1, "delta_1": 2, "delta_2": 0, "junk": 0}),
+    ],
+    ids=["missing", "extra", "gap", "extra-diff"],
+)
+def test_replay_rejects_wrong_quantity_names(rule, quantities):
+    with pytest.raises(ValueError, match="expected"):
+        replay_certificate(Certificate(rule, 2, quantities))
+
+
+def test_replay_ignores_quantity_order():
+    # a certificate read back from sort_keys JSON replays: there R-33's
+    # h_d sorts before h_dm1, and delta_10 before delta_2
+    vectors = NOT_LEVEL_VECTORS + [(1, 3, 4, 5, 4, 4)] + [family_hvector(12, 5)]
+    rules = set()
+    for entries in vectors:
+        for cert in classify(HVector(entries)).certificates:
+            data = json.loads(json.dumps(cert.as_dict(), sort_keys=True))
+            assert list(data["quantities"]) == sorted(cert.quantities)
+            assert replay_certificate(Certificate(**data)), cert
+            rules.add(cert.rule)
+    assert {R_33, R_LEVEL_DIFF} <= rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(o_sequences())
+def test_every_certificate_replays_under_its_rule_names(h):
+    assume(h.socle_degree >= 2)
+    for cert in classify(h).certificates:
+        if cert.rule == R_LEVEL_DIFF:
+            names = tuple(f"delta_{i}" for i in range(h.socle_degree + 1))
+        else:
+            names = RULES[cert.rule]
+        assert tuple(cert.quantities) == names, cert
+        assert replay_certificate(cert), cert
 
 
 def test_certificate_quantities_are_read_only():

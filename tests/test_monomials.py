@@ -11,16 +11,13 @@ from levelalg import (
     count_gens_div_x3,
     enumerate_o_sequences,
     green_bound,
-    lex_rank,
     lex_segment_ideal,
-    monomial_at,
-    monomial_count,
     numerator_check,
     quotient_hf,
     restricted_hf,
     socle_dims,
 )
-from levelalg.monomials import _lex_generators
+from levelalg.monomials import _lex_generators, lex_rank, monomial_count
 
 from _support import (
     contains,
@@ -30,6 +27,9 @@ from _support import (
     is_stable_by_exchange,
     lex_compare,
     lex_generators_by_full_scan,
+    max_generator_degree,
+    members_of_degree,
+    monomial_at,
     monomial_ideals,
     monomials_of_degree,
     mul_var,
@@ -111,7 +111,7 @@ def test_members_of_degree_matches_divisor_scan_on_non_stable_ideal():
     ideal = MonomialIdeal([Monomial(0, 2, 0), Monomial(1, 0, 3)])
     assert not ideal.is_stable()
     for t in range(8):
-        assert ideal.members_of_degree(t) == [
+        assert members_of_degree(ideal, t) == [
             in_ideal_by_scan(ideal, m) for m in monomials_of_degree(t)
         ]
 
@@ -119,8 +119,8 @@ def test_members_of_degree_matches_divisor_scan_on_non_stable_ideal():
 @settings(max_examples=200, deadline=None)
 @given(monomial_ideals())
 def test_members_of_degree_matches_divisor_scan(ideal):
-    for t in range(ideal.max_generator_degree() + 3):
-        assert ideal.members_of_degree(t) == [
+    for t in range(max_generator_degree(ideal) + 3):
+        assert members_of_degree(ideal, t) == [
             in_ideal_by_scan(ideal, m) for m in monomials_of_degree(t)
         ], (ideal, t)
 
@@ -262,7 +262,7 @@ def test_quotient_hf_reproduces_input():
 @given(monomial_ideals(), finite_colength_ideals())
 def test_quotient_hf_matches_divisor_scan(ideal, finite):
     for case in (ideal, finite):
-        through = case.max_generator_degree() + 2
+        through = max_generator_degree(case) + 2
         assert quotient_hf(case, through) == tuple(
             sum(not in_ideal_by_scan(case, m) for m in monomials_of_degree(t))
             for t in range(through + 1)
@@ -335,7 +335,7 @@ def test_vanishing_degree_matches_divisor_scan(ideal):
 def test_finite_colength_matches_divisor_scan(ideal):
     # a power of x_v in the ideal is divisible by a pure-power generator,
     # so the scan need not pass the top generator degree
-    top = ideal.max_generator_degree()
+    top = max_generator_degree(ideal)
     lacks_power = any(
         not any(
             in_ideal_by_scan(ideal, Monomial(*(k if i == v else 0 for i in (1, 2, 3))))
@@ -353,23 +353,36 @@ def test_finite_colength_matches_divisor_scan(ideal):
 def test_negative_degree_raises_before_and_after_rows_are_cached():
     ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
     with pytest.raises(ValueError, match="degree must be non-negative"):
-        ideal.members_of_degree(-1)
+        ideal._ensure_tables(-1)
     quotient_hf(ideal, 3)
     with pytest.raises(ValueError, match="degree must be non-negative"):
-        ideal.members_of_degree(-1)
+        ideal._ensure_tables(-1)
 
 
 @pytest.mark.parametrize("bad", [2.5, "2", None])
 def test_non_integer_degree_raises_before_rows_are_built(bad):
     ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
-    for reader in (ideal.members_of_degree, ideal._ensure_tables):
-        with pytest.raises(ValueError, match="degree must be an integer"):
-            reader(bad)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        ideal._ensure_tables(bad)
     assert ideal._member == []
     quotient_hf(ideal, 3)
     with pytest.raises(ValueError, match="degree must be an integer"):
-        ideal.members_of_degree(bad)
+        ideal._ensure_tables(bad)
     assert len(ideal._member) == 4
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, "2", None])
+@pytest.mark.parametrize(
+    "reader",
+    [MonomialIdeal._ensure_tables, quotient_hf, restricted_hf, count_gens_div_x3],
+    ids=lambda reader: reader.__name__,
+)
+def test_degree_readers_reject_bad_degrees(reader, bad):
+    # every reader of a degree shares the row reader's check, so none
+    # returns an empty or zero answer, or a TypeError, for a bad degree
+    ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
+    with pytest.raises(ValueError, match="^degree must be"):
+        reader(ideal, bad)
 
 
 @pytest.mark.parametrize(
@@ -392,7 +405,7 @@ def test_restricted_hf_examples():
 @given(monomial_ideals(), finite_colength_ideals())
 def test_restricted_hf_matches_monomial_reference(ideal, finite):
     for case in (ideal, finite):
-        through = case.max_generator_degree() + 2
+        through = max_generator_degree(case) + 2
         assert restricted_hf(case, through) == restricted_hf_by_monomials(case, through)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import levelalg
 from levelalg import cli
+from levelalg.classify import R_LEVEL_DIFF, RULES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +51,13 @@ def test_readme_library_overview_names_resolve():
             assert any(
                 hasattr(scope, name) for scope in (module, levelalg, builtins)
             ), (module_name, name)
+
+
+def test_readme_certificate_table_matches_rules():
+    # the schema's rule -> quantities table is the classifier's RULES table
+    # plus the R-LEVEL-DIFF row, in the same rule and name order
+    section = README.read_text().split("## Certificate JSON schema", 1)[1]
+    rows = re.findall(r"^\| `(R-[\w-]+)`\s*\|(.*)\|$", section, re.M)
+    table = {rule: tuple(re.findall(r"`(\w+)`", names)) for rule, names in rows}
+    assert table == {**RULES, R_LEVEL_DIFF: ("delta_0", "delta_1", "delta_s")}
+    assert list(table) == [*RULES, R_LEVEL_DIFF]
