@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from operator import index
 
 from .binomials import green_bound, macaulay_bound
+from .errors import _integer
 from .hvectors import HVector, require_codim3
-from .monomials import MonomialIdeal, _degree, quotient_hf
+from .monomials import MonomialIdeal, quotient_hf
 
 
 @dataclass(frozen=True, eq=True)
@@ -169,8 +170,8 @@ def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
 
     A slice of the columns behind :func:`lex_betti`, so it comes from h alone.
     """
-    d = _degree(d)
-    if not 1 <= d <= h.socle_degree:
+    d = _integer(d, "degree", 1)
+    if d > h.socle_degree:
         raise ValueError("d must satisfy 1 <= d <= socle degree")
     _, b1, b2 = _lex_betti_columns(h)
     return b1[d + 2], b2[d + 2], b2[d + 3]

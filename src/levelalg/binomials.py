@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .errors import _integer
+
 
 def binomial(m: int, k: int) -> int:
     """Binomial coefficient C(m, k), zero for m < k or k < 0."""
@@ -66,10 +68,7 @@ def macaulay_expansion(n: int, i: int) -> BinomialExpansion:
     index i - 1; the classical uniqueness argument guarantees the result has
     strictly decreasing tops and never runs past index 1.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if i < 1:
-        raise ValueError("i must be positive")
+    n, i = _integer(n, "n", 0), _integer(i, "i", 1)
     terms = []
     rem, idx = n, i
     while rem > 0:
@@ -87,9 +86,10 @@ def shift(expansion: BinomialExpansion, a: int, b: int) -> int:
 
 @lru_cache(maxsize=None)
 def macaulay_bound(h: int, d: int) -> int:
-    """Largest legal value in degree d+1 after h in degree d (tops and indices up by 1)."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    """Largest legal value in degree d+1 after h in degree d (tops and indices up by 1).
+
+    A cache miss checks h and d in :func:`macaulay_expansion` (as n and i); a
+    float equal to a cached int key hits and returns that int's answer."""
     return shift(macaulay_expansion(h, d), 1, 1)
 
 
@@ -98,10 +98,9 @@ def green_bound(h: int, d: int) -> int:
     """Restriction of h in degree d to a general hyperplane (tops down by 1).
 
     For lex-segment ideals this is the exact Hilbert function of the quotient
-    by the last variable, not merely an upper bound.
+    by the last variable, not merely an upper bound.  Checks h and d as
+    :func:`macaulay_bound` does, with the same cache hits.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
     return shift(macaulay_expansion(h, d), -1, 0)
 
 

@@ -21,6 +21,7 @@ from typing import Mapping
 from .binomials import binomial, green_bound, macaulay_bound
 from .hvectors import HVector, growth_violation, require_codim3
 from .betti import _lex_betti_columns
+from .errors import _integer
 
 R_CANCEL = "R-CANCEL"
 R_31 = "R-31"
@@ -113,7 +114,8 @@ def replay_certificate(cert: Certificate) -> bool:
     Raises ValueError for an unknown rule, or when the quantity names are not
     exactly the rule's: ``RULES[rule]``, or ``delta_0`` .. ``delta_{n-1}``
     for R-LEVEL-DIFF.  Their order does not matter, so a certificate read
-    back from sorted JSON replays too.
+    back from sorted JSON replays too.  Then a non-integer ``d`` or quantity
+    raises ValueError naming it; True counts as 1.
     """
     q = cert.quantities
     if cert.rule == R_LEVEL_DIFF:
@@ -126,12 +128,14 @@ def replay_certificate(cert: Certificate) -> bool:
         raise ValueError(
             f"{cert.rule} certificate stores {sorted(q)}, expected {sorted(names)}"
         )
+    d = _integer(cert.d, "d")
+    q = {name: _integer(value, name) for name, value in q.items()}
     if cert.rule == R_CANCEL:
         return q["beta2_d2"] > q["beta1_d2"]
     if cert.rule == R_31:
         return q["beta1_d2"] == q["beta2_d2"] > 0 and q["beta2_d3"] > 0
     if cert.rule == R_33:
-        equal_case = q["h_dm1"] == q["h_d"] == q["h_dp1"] == cert.d + 1
+        equal_case = q["h_dm1"] == q["h_d"] == q["h_dp1"] == d + 1
         increasing = q["h_dm1"] < q["h_d"] < q["h_dp1"]
         return (
             q["beta1_d2"] == q["beta2_d2"] > 0 and not equal_case and not increasing
@@ -244,10 +248,7 @@ def construct_plateau_level(d: int, ell: int) -> tuple[HVector, HVector]:
     H_{d+1} = 3d+ell+1 (the caps bind for small d relative to ell, where no
     such plateau exists).
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if ell < 3:
-        raise ValueError("ell must be at least 3")
+    d, ell = _integer(d, "d", 2), _integer(ell, "ell", 3)
     base = HVector(
         (1,) + tuple(min(binomial(i + 2, 2), 3 * i + ell - 3) for i in range(1, d + 2))
     )

@@ -7,6 +7,7 @@ from operator import index
 from typing import Iterator, Optional, Sequence
 
 from .binomials import macaulay_bound
+from .errors import _integer
 
 
 def growth_violation(seq: Sequence[int]) -> Optional[int]:
@@ -121,10 +122,7 @@ def enumerate_o_sequences(s: int, cap: int) -> Iterator[HVector]:
     s forces every entry through degree s to be positive, so the search walks
     values 1..min(cap, growth bound) at each level.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
-    if cap < 3:
-        raise ValueError("cap must be at least 3")
+    s, cap = _integer(s, "s", 1), _integer(cap, "cap", 3)
 
     def extend(prefix: list[int]) -> Iterator[HVector]:
         i = len(prefix) - 1

@@ -21,6 +21,7 @@ from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 from .binomials import binomial
+from .errors import _integer
 from .hvectors import HVector, require_codim3
 
 
@@ -77,17 +78,6 @@ def lex_rank(m: Monomial) -> int:
     """Position of m in the descending lex list of its degree (0 = largest)."""
     tail = m.e2 + m.e3
     return tail * (tail + 1) // 2 + m.e3
-
-
-def _degree(t) -> int:
-    """t as an int, or ValueError unless it is a non-negative integer."""
-    try:
-        t = index(t)
-    except TypeError:
-        raise ValueError(f"degree must be an integer, got {t!r}") from None
-    if t < 0:
-        raise ValueError(f"degree must be non-negative, got {t}")
-    return t
 
 
 class MonomialIdeal:
@@ -148,7 +138,7 @@ class MonomialIdeal:
         The one reader of the row cache: a degree that is not a non-negative
         integer raises ValueError before any row is built.
         """
-        through = _degree(through)
+        through = _integer(through, "degree", 0)
         rows = self._member
         while len(rows) <= through:
             t = len(rows)
@@ -259,7 +249,7 @@ def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient ring in degrees 0..through."""
     return tuple(
         monomial_count(t) - ideal._ensure_tables(t).bit_count()
-        for t in range(_degree(through) + 1)
+        for t in range(_integer(through, "degree", 0) + 1)
     )
 
 
@@ -271,7 +261,7 @@ def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """
     out = []
     corners = 0  # bits T(0), ..., T(t)
-    for t in range(_degree(through) + 1):
+    for t in range(_integer(through, "degree", 0) + 1):
         corners |= 1 << (t * (t + 1) // 2)
         out.append(t + 1 - (ideal._ensure_tables(t) & corners).bit_count())
     return tuple(out)
@@ -284,7 +274,7 @@ def count_gens_div_x3(ideal: MonomialIdeal, g: int) -> int:
     g - 1; the equality is meaningless otherwise, so non-stable input is
     rejected.
     """
-    g = _degree(g)
+    g = _integer(g, "degree", 0)
     if not ideal.is_stable():
         raise ValueError("count_gens_div_x3 requires a stable ideal")
     return sum(1 for m in ideal.generators_of_degree(g) if m.e3 > 0)

@@ -17,6 +17,7 @@ from itertools import product
 from math import comb
 
 from .binomials import BinomialExpansion
+from .errors import _integer
 from .hvectors import HVector
 from .monomials import MonomialIdeal
 
@@ -87,10 +88,7 @@ def expansion_exhaustive(n: int, i: int) -> BinomialExpansion:
     assignment must survive; anything else is a bug, since existence and
     uniqueness are a theorem.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if i < 1:
-        raise ValueError("i must be positive")
+    n, i = _integer(n, "n", 0), _integer(i, "i", 1)
     if n == 0:
         return BinomialExpansion(())
 
@@ -134,12 +132,10 @@ def osequence_filter(s: int, cap: int) -> set[HVector]:
 
     Generate-and-filter over the full integer box; no incremental pruning.
     """
-    if s == 1:
-        return {HVector((1, 3))} if cap >= 3 else set()
+    s, cap = _integer(s, "s", 1), _integer(cap, "cap", 3)
     found = set()
-    for middle in product(range(cap + 1), repeat=s - 2):
-        for last in range(1, cap + 1):
-            candidate = HVector((1, 3) + middle + (last,))
-            if candidate.is_o_sequence():
-                found.add(candidate)
+    for tail in product(range(cap + 1), repeat=s - 1):
+        candidate = HVector((1, 3) + tail)
+        if candidate.socle_degree == s and candidate.is_o_sequence():
+            found.add(candidate)
     return found

@@ -414,3 +414,26 @@ def test_build_parser_returns_a_fresh_parser(capsys):
     assert cli.build_parser() is not mine
     assert run(["classify", "1,3,6", "--extra", "x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entries", VERIFY_VECTORS)
+def test_classify_verification_catches_wrong_x3_colon_counts(
+    capsys, monkeypatch, entries
+):
+    real = cli.count_gens_div_x3
+    monkeypatch.setattr(cli, "count_gens_div_x3", lambda ideal, g: real(ideal, g) + 1)
+    assert run(["classify", entries, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x3-colon counts" in captured.err
+
+
+@pytest.mark.parametrize("entries", VERIFY_VECTORS)
+def test_classify_verification_catches_wrong_expansion(capsys, monkeypatch, entries):
+    # the expansion of n + 1 differs from that of n, by uniqueness
+    real = cli.macaulay_expansion
+    monkeypatch.setattr(cli, "macaulay_expansion", lambda n, i: real(n + 1, i))
+    assert run(["classify", entries, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expansion mismatch" in captured.err
