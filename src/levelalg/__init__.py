@@ -2,8 +2,9 @@
 
 Given a candidate Hilbert function H = (1, 3, h_2, ..., h_s), the package
 computes the graded Betti numbers of the lex-segment ideal with that Hilbert
-function from H alone, and applies obstruction and construction criteria to
-decide whether an Artinian level algebra with Hilbert function H can exist.
+function from H alone, as three integer columns (b0, b1, b2) indexed by
+shift, and applies obstruction and construction criteria to decide whether
+an Artinian level algebra with Hilbert function H can exist.
 All arithmetic is exact.  The lex-segment ideal itself is built only to
 verify those Betti numbers, and the brute-force :mod:`levelalg.oracle`
 module re-derives the key quantities independently.
@@ -29,7 +30,6 @@ from .monomials import (
     socle_dims,
 )
 from .betti import (
-    BettiDiagram,
     ek_betti,
     lex_betti,
     lex_betti_window,
@@ -47,7 +47,6 @@ from .classify import (
 from .errors import ConsistencyError
 
 __all__ = [
-    "BettiDiagram",
     "BinomialExpansion",
     "Certificate",
     "ConsistencyError",

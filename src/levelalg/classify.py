@@ -1,7 +1,7 @@
 """Level / NotLevel / Unknown classification of codimension-3 h-vectors.
 
 Each obstruction rule inspects the graded Betti numbers of the lex-segment
-ideal, read by index from the integer columns behind
+ideal, read by index from the integer columns of
 :func:`~levelalg.betti.lex_betti` (computed from h alone; the ideal itself is
 built only to verify them), or the h-vector window around a degree d.  When a
 rule fires it records a certificate holding every integer it compared, so the
@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .binomials import binomial, green_bound, macaulay_bound
 from .hvectors import HVector, growth_violation, require_codim3
-from .betti import _lex_betti_columns
+from .betti import lex_betti
 from .errors import _integer
 
 R_CANCEL = "R-CANCEL"
@@ -166,16 +166,15 @@ def classify(h: HVector) -> Verdict:
 
     Obstruction rules run at every interior position 2 <= d <= s-1 (the two
     end-restricted rules only at d = s-1) and all firing certificates are
-    collected.  Betti input is the per-degree integer columns behind
-    :func:`~levelalg.betti.lex_betti`, read by index with no
-    :class:`~levelalg.betti.BettiDiagram` built.  Computing them validates h
-    in the same pass (entries are integers by construction of
+    collected.  Betti input is the integer columns of
+    :func:`~levelalg.betti.lex_betti`, read by index.  Computing them
+    validates h in the same pass (entries are integers by construction of
     :class:`~levelalg.hvectors.HVector`): an invalid h raises the
     ``require_codim3`` ValueError, and a valid one is never checked twice.
     The same loop over d tracks whether the first difference grows within
     the Macaulay bound, which decides R-LEVEL-DIFF when nothing fires.
     """
-    _, b1, b2 = _lex_betti_columns(h)
+    _, b1, b2 = lex_betti(h)
     e = h.entries
     s = h.socle_degree
     if s < 2:

@@ -142,12 +142,14 @@ def _cmd_expand(args) -> int:
 
 def _cmd_validate(args) -> int:
     violation = args.hvector.o_sequence_violation()
+    if violation != 0 and not args.hvector.codim3():
+        violation = 1  # below any growth violation, which starts at index 2
     if violation is None:
         _emit({"hvector": list(args.hvector), "ok": True}, args.json, "" if args.quiet else "ok")
         return EXIT_OK
-    if violation == 0:
-        text = "h0 must be 1"
-        payload = {"hvector": list(args.hvector), "ok": False, "index": 0}
+    if violation < 2:
+        text = ("h0 must be 1", "h1 must be 3")[violation]
+        payload = {"hvector": list(args.hvector), "ok": False, "index": violation}
     else:
         limit = macaulay_bound(args.hvector[violation - 1], violation - 1)
         text = f"violates Macaulay bound at degree {violation} (max {limit})"
@@ -195,11 +197,17 @@ def _cmd_betti(args) -> int:
         text = f"beta1_d2={beta1} beta2_d2={beta2} beta2_d3={beta2_next}"
         _emit(payload, args.json, text)
         return EXIT_OK
-    diagram = lex_betti(args.hvector)
+    columns = lex_betti(args.hvector)
     if args.json:
-        print(json.dumps(diagram.triples(), sort_keys=True))
+        triples = [
+            {"q": q, "shift": j, "mult": mult}
+            for q, column in enumerate(columns)
+            for j, mult in enumerate(column)
+            if mult
+        ]
+        print(json.dumps(triples, sort_keys=True))
     else:
-        print(render_diagram(diagram))
+        print(render_diagram(columns))
     return EXIT_OK
 
 
@@ -218,8 +226,7 @@ def _verify_against_oracles(h: HVector) -> None:
     h_only = lex_betti(h)
     if h_only != betti:
         raise ConsistencyError(
-            f"h-only Betti numbers {h_only.as_dict()} != resolution of lex({h}) "
-            f"{betti.as_dict()}"
+            f"h-only Betti columns {h_only} != resolution of lex({h}) {betti}"
         )
     direct = oracle.colon_and_socle_dims(ideal, top)
     # dim (J : x3)/J in degree t counts the generators of degree t + 1
@@ -235,7 +242,7 @@ def _verify_against_oracles(h: HVector) -> None:
     if dims != direct_socle:
         raise ConsistencyError(f"socle dimensions {dims} vs oracle {direct_socle}")
     # beta_{2,t+3} is the socle dimension in degree t
-    dual = {j - 3: mult for (q, j), mult in betti.entries if q == 2}
+    dual = {j - 3: mult for j, mult in enumerate(betti[2]) if mult}
     if dual != direct_socle:
         raise ConsistencyError(
             f"socle/Betti duality fails: beta_2 by socle degree {dual} "

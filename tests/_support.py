@@ -237,6 +237,17 @@ def socle_dim_by_scan(ideal, t):
     )
 
 
+def betti_dict(columns):
+    """{(q, shift): multiplicity} of the non-zero entries of Betti columns
+    (b0, b1, b2), the form of PAPER_BETTI."""
+    return {
+        (q, j): mult
+        for q, column in enumerate(columns)
+        for j, mult in enumerate(column)
+        if mult
+    }
+
+
 def ek_betti_by_generator(ideal):
     """Reference Eliahou-Kervaire table: each generator T adds C(m(T) - 1, q)
     to beta_{q, deg T + q}, m(T) its largest variable."""

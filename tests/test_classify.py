@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 from levelalg import (
-    BettiDiagram,
     HVector,
+    MonomialIdeal,
     classify,
     construct_plateau_level,
     ek_betti,
@@ -363,21 +363,22 @@ def test_verdict_json_shape():
 @given(o_sequences())
 def test_certificate_betti_quantities_equal_resolution(h):
     assume(h.socle_degree >= 2)
-    diagram = ek_betti(lex_segment_ideal(h))
+    columns = ek_betti(lex_segment_ideal(h))
     certificates = classify(h).certificates
     for cert in certificates:
         for name, value in cert.quantities.items():
             if name.startswith("beta"):
                 q, offset = BETTI_POSITIONS[name]
-                assert value == diagram.beta(q, cert.d + offset), (h, cert)
+                assert value == columns[q][cert.d + offset], (h, cert)
     # the two rules on Betti numbers alone fire exactly where the resolution
     # says they should, so a misread column cannot hide by firing nowhere
+    _, b1, b2 = columns
     expected = set()
     for d in range(2, h.socle_degree):
-        beta1, beta2 = diagram.beta(1, d + 2), diagram.beta(2, d + 2)
+        beta1, beta2 = b1[d + 2], b2[d + 2]
         if beta2 > beta1:
             expected.add((R_CANCEL, d))
-        if beta1 == beta2 > 0 and diagram.beta(2, d + 3) > 0:
+        if beta1 == beta2 > 0 and b2[d + 3] > 0:
             expected.add((R_31, d))
     fired = {(c.rule, c.d) for c in certificates if c.rule in (R_CANCEL, R_31)}
     assert fired == expected, h
@@ -387,8 +388,8 @@ def test_classify_reads_no_diagram_and_no_h_lookups(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("classify must read the integer columns by index")
 
-    monkeypatch.setattr(BettiDiagram, "__post_init__", forbidden)
-    monkeypatch.setattr(BettiDiagram, "beta", forbidden)
+    # no ideal is built to resolve, and h is read through its entries
+    monkeypatch.setattr(MonomialIdeal, "_set_generators", forbidden)
     monkeypatch.setattr(HVector, "at", forbidden)
     kinds = {classify(h).kind for h in enumerate_o_sequences(5, 12)}
     assert kinds == {LEVEL, NOT_LEVEL, UNKNOWN}

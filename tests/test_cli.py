@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from levelalg import BettiDiagram, HVector, cli, ek_betti, oracle
+from levelalg import HVector, cli, ek_betti, oracle
 from levelalg.cli import run
 
 
@@ -55,6 +55,25 @@ def test_validate_violation(capsys):
 def test_validate_bad_leading_entry(capsys):
     assert run(["validate", "2,3"]) == 3
     assert "h0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entries", ["1,4,10", "1,2,1", "1", "1,2,7"])
+def test_validate_requires_h1_equal_3(capsys, entries):
+    # as classify, lex and betti do; h1 = 2 outranks the growth violation
+    # at index 2 of 1,2,7
+    assert run(["validate", entries]) == 3
+    assert capsys.readouterr().out == "h1 must be 3\n"
+    assert run(["validate", entries, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "hvector": [int(e) for e in entries.split(",")],
+        "ok": False,
+        "index": 1,
+    }
+
+
+def test_validate_reports_h0_before_h1(capsys):
+    assert run(["validate", "2,4", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["index"] == 0
 
 
 def test_validate_parse_error(capsys):
@@ -147,7 +166,7 @@ def test_classify_verify_json_bytes(capsys):
 
 
 def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
-    wrong = BettiDiagram.from_dict({(0, 2): 1})
+    wrong = ([0, 0, 1], [], [])
     monkeypatch.setattr(cli, "lex_betti", lambda h: wrong)
     assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
     captured = capsys.readouterr()
@@ -223,9 +242,9 @@ def test_classify_verification_checks_numerator_of_its_resolution(capsys, monkey
     # the numerator identity runs on the one resolution the verifier holds:
     # dropping its last second syzygy must fail that identity first
     def short_resolution(ideal):
-        table = ek_betti(ideal).as_dict()
-        del table[max(key for key in table if key[0] == 2)]
-        return BettiDiagram.from_dict(table)
+        b0, b1, b2 = ek_betti(ideal)
+        b2[max(j for j, mult in enumerate(b2) if mult)] = 0
+        return b0, b1, b2
 
     monkeypatch.setattr(cli, "ek_betti", short_resolution)
     assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1

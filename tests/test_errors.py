@@ -95,7 +95,7 @@ def test_replay_rejects_values_no_integer_computation_gives(cert):
 
 
 def test_replay_counts_true_as_one():
-    # operator.index accepts bools, as HVector and BettiDiagram do
+    # operator.index accepts bools, as HVector and render_diagram do
     assert replay_certificate(
         Certificate(R_31, 5, {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": True})
     )
