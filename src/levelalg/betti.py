@@ -72,7 +72,7 @@ def lex_betti(h: HVector) -> Columns:
     """
     padded = h.entries + (0,)
     if padded[0] != 1 or len(padded) < 3 or padded[1] != 3:
-        _refuse(h, "h-vector must have h_0 = 1 and h_1 = 3")
+        require_codim3(h)  # raises: h_0 or h_1 is at fault
     size = len(padded) + 2
     b0, b1, b2 = [0] * size, [0] * size, [0] * size
     r_prev = green_bound(padded[1], 1)
@@ -86,7 +86,8 @@ def lex_betti(h: HVector) -> Columns:
         in_x1 = int(h_g < full and h_prev == full_prev)
         in_x2, in_x3 = in_x1x2 - in_x1, total - in_x1x2
         if in_x2 < 0 or in_x3 < 0:  # in_x2 + in_x3 <= total
-            _refuse(h, f"negative lex generator count in degree {g} for {h}")
+            require_codim3(h)  # raises for an invalid h
+            raise ValueError(f"negative lex generator count in degree {g} for {h}")
         b0[g] = total
         b1[g + 1] = in_x2 + 2 * in_x3
         b2[g + 2] = in_x3
@@ -94,21 +95,16 @@ def lex_betti(h: HVector) -> Columns:
     return b0, b1, b2
 
 
-def _refuse(h: HVector, problem: str) -> None:
-    """Raise require_codim3's message if h is invalid, else ValueError(problem)."""
-    require_codim3(h)
-    raise ValueError(problem)
-
-
 def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
     """(beta_1 at d+2, beta_2 at d+2, beta_2 at d+3) for the lex ideal of h.
 
-    A slice of :func:`lex_betti`, so it comes from h alone.
+    A slice of :func:`lex_betti`, so it comes from h alone, and h is
+    validated before d.
     """
+    _, b1, b2 = lex_betti(h)
     d = _integer(d, "degree", 1)
     if d > h.socle_degree:
         raise ValueError("d must satisfy 1 <= d <= socle degree")
-    _, b1, b2 = lex_betti(h)
     return b1[d + 2], b2[d + 2], b2[d + 3]
 
 

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands expose the library operations one-to-one; all input arrives via
-argv and results go to stdout (diagnostics to stderr).  Exit codes: 0 on
-success, 2 on argument parse errors, 3 on an invalid h-vector, 1 when an
-internal cross-check disagrees.
+argv and results go to stdout (diagnostics to stderr).  The CLI only parses:
+argparse turns argv into integers and h-vectors, and every range or validity
+check is the library's, whose ValueError message is printed as is.  Exit
+codes: 0 on success, 2 when argv does not parse, 3 when the library refuses
+a value (an invalid h-vector or an out-of-range number), 1 when an internal
+cross-check disagrees.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from .classify import (
     iarrobino_lift,
 )
 from .errors import ConsistencyError
-from .hvectors import HVector, enumerate_o_sequences
+from .hvectors import HVector, enumerate_o_sequences, lowest_violation, require_codim3
 from .monomials import count_gens_div_x3, lex_segment_ideal, quotient_hf, socle_dims
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-EXIT_BAD_HVECTOR = 3
+EXIT_REFUSED = 3
 
 
 def _hvector_arg(text: str) -> HVector:
@@ -47,20 +50,6 @@ def _hvector_arg(text: str) -> HVector:
         return HVector.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", parents=[common], help="Macaulay binomial expansion")
-    p.add_argument("n", type=_nonnegative)
-    p.add_argument("i", type=_positive)
+    p.add_argument("n", type=int)
+    p.add_argument("i", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--up", action="store_true", help="print the growth bound")
     mode.add_argument("--green", action="store_true", help="print the restriction bound")
@@ -86,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lex", parents=[common], help="lex-segment ideal generators")
     p.add_argument("hvector", type=_hvector_arg)
-    p.add_argument("--degree", type=_nonnegative, default=None)
+    p.add_argument("--degree", type=int, default=None)
 
     p = sub.add_parser("betti", parents=[common], help="Betti diagram of the lex ideal")
     p.add_argument("hvector", type=_hvector_arg)
-    p.add_argument("--window", type=_positive, default=None, metavar="D")
+    p.add_argument("--window", type=int, default=None, metavar="D")
 
     p = sub.add_parser("classify", parents=[terse], help="Level / NotLevel / Unknown")
     p.add_argument("hvector", type=_hvector_arg)
@@ -101,12 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     pi = construct_sub.add_parser("iarrobino", parents=[common])
     pi.add_argument("--base", type=_hvector_arg, required=True)
     pt = construct_sub.add_parser("t44b", parents=[common])
-    pt.add_argument("--d", type=_positive, required=True)
-    pt.add_argument("--ell", type=_positive, required=True)
+    pt.add_argument("--d", type=int, required=True)
+    pt.add_argument("--ell", type=int, required=True)
 
     p = sub.add_parser("enumerate", parents=[common], help="stream O-sequences with h1=3")
-    p.add_argument("--socle", type=_positive, required=True)
-    p.add_argument("--cap", type=_positive, required=True)
+    p.add_argument("--socle", type=int, required=True)
+    p.add_argument("--cap", type=int, required=True)
     p.add_argument("--stats", action="store_true", help="classify and tally instead of listing")
     return parser
 
@@ -141,33 +130,27 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    violation = args.hvector.o_sequence_violation()
-    if violation != 0 and not args.hvector.codim3():
-        violation = 1  # below any growth violation, which starts at index 2
-    if violation is None:
-        _emit({"hvector": list(args.hvector), "ok": True}, args.json, "" if args.quiet else "ok")
-        return EXIT_OK
-    if violation < 2:
-        text = ("h0 must be 1", "h1 must be 3")[violation]
-        payload = {"hvector": list(args.hvector), "ok": False, "index": violation}
-    else:
-        limit = macaulay_bound(args.hvector[violation - 1], violation - 1)
-        text = f"violates Macaulay bound at degree {violation} (max {limit})"
-        payload = {
-            "hvector": list(args.hvector),
-            "ok": False,
-            "index": violation,
-            "max": limit,
-        }
-    _emit(payload, args.json, text)
-    return EXIT_BAD_HVECTOR
+    h = args.hvector
+    try:
+        require_codim3(h)
+    except ValueError as refusal:
+        # the text every other subcommand prints to stderr, on stdout
+        index = lowest_violation(h)
+        payload = {"hvector": list(h), "ok": False, "index": index}
+        if index >= 2:
+            payload["max"] = macaulay_bound(h[index - 1], index - 1)
+        _emit(payload, args.json, str(refusal))
+        return EXIT_REFUSED
+    _emit({"hvector": list(h), "ok": True}, args.json, "" if args.quiet else "ok")
+    return EXIT_OK
 
 
 def _cmd_lex(args) -> int:
     ideal = lex_segment_ideal(args.hvector)
     degrees = ideal.generator_degrees()
     if args.degree is not None:
-        degrees = tuple(d for d in degrees if d == args.degree)
+        # generators_of_degree checks the degree
+        degrees = (args.degree,) if ideal.generators_of_degree(args.degree) else ()
     payload = {
         "hvector": list(args.hvector),
         "generators": [
@@ -248,10 +231,10 @@ def _verify_against_oracles(h: HVector) -> None:
             f"socle/Betti duality fails: beta_2 by socle degree {dual} "
             f"vs oracle socle {direct_socle}"
         )
-    for d in range(1, h.socle_degree + 1):
-        if h.at(d) <= 5000 and d <= 8:
-            if oracle.expansion_exhaustive(h.at(d), d) != macaulay_expansion(h.at(d), d):
-                raise ConsistencyError(f"expansion mismatch for ({h.at(d)}, {d})")
+    for d in range(1, min(h.socle_degree, 8) + 1):
+        n = h[d]
+        if n <= 5000 and oracle.expansion_exhaustive(n, d) != macaulay_expansion(n, d):
+            raise ConsistencyError(f"expansion mismatch for ({n}, {d})")
 
 
 def _certificate_text(cert) -> str:
@@ -356,7 +339,7 @@ def run(argv: list[str]) -> int:
         return EXIT_INTERNAL
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_BAD_HVECTOR
+        return EXIT_REFUSED
 
 
 def main() -> None:

@@ -68,13 +68,9 @@ class HVector:
     def socle_degree(self) -> int:
         return len(self.entries) - 1
 
-    def codim3(self) -> bool:
-        return len(self.entries) > 1 and self.entries[1] == 3
-
     def at(self, t: int) -> int:
         """Entry in degree t, reading 0 beyond the socle degree."""
-        if t < 0:
-            raise IndexError("degree must be non-negative")
+        t = _integer(t, "degree", 0)
         return self.entries[t] if t < len(self.entries) else 0
 
     def first_difference(self) -> tuple[int, ...]:
@@ -106,13 +102,32 @@ class HVector:
         return ",".join(str(e) for e in self.entries)
 
 
+def lowest_violation(h: HVector) -> Optional[int]:
+    """Lowest index at which h fails to be an O-sequence with h_1 = 3, or None.
+
+    0 when h_0 != 1, 1 when h_1 is missing or not 3, else the first growth
+    violation of :func:`growth_violation`.
+    """
+    e = h.entries
+    if e[0] != 1:
+        return 0
+    if len(e) < 2 or e[1] != 3:
+        return 1
+    return growth_violation(e)
+
+
 def require_codim3(h: HVector) -> None:
-    """Raise ValueError unless h is an O-sequence with h_1 = 3."""
-    violation = h.o_sequence_violation()
-    if violation is not None:
-        raise ValueError(f"not an O-sequence (violation at index {violation})")
-    if not h.codim3():
-        raise ValueError("h-vector must have h_1 = 3")
+    """Raise ValueError unless h is an O-sequence with h_1 = 3.
+
+    The message names the index :func:`lowest_violation` reports.
+    """
+    i = lowest_violation(h)
+    if i is None:
+        return
+    if i < 2:
+        raise ValueError(("h0 must be 1", "h1 must be 3")[i])
+    limit = macaulay_bound(h.entries[i - 1], i - 1)
+    raise ValueError(f"violates Macaulay bound at degree {i} (max {limit})")
 
 
 def enumerate_o_sequences(s: int, cap: int) -> Iterator[HVector]:

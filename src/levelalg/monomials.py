@@ -36,16 +36,6 @@ class Monomial(NamedTuple):
     def degree(self) -> int:
         return self.e1 + self.e2 + self.e3
 
-    def max_var(self) -> int:
-        """Largest variable index with positive exponent (undefined for 1)."""
-        if self.e3 > 0:
-            return 3
-        if self.e2 > 0:
-            return 2
-        if self.e1 > 0:
-            return 1
-        raise ValueError("max_var of the constant monomial is undefined")
-
     def divides(self, other: "Monomial") -> bool:
         return self.e1 <= other.e1 and self.e2 <= other.e2 and self.e3 <= other.e3
 
@@ -127,7 +117,7 @@ class MonomialIdeal:
         return self._generators
 
     def generators_of_degree(self, d: int) -> tuple[Monomial, ...]:
-        return self._gens_by_degree.get(d, ())
+        return self._gens_by_degree.get(_integer(d, "degree", 0), ())
 
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self._gens_by_degree))
@@ -219,11 +209,10 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
 
 def _lex_generators(h: HVector) -> list[Monomial]:
     """Minimal generators of the lex-segment ideal of h, by degree then rank."""
-    s = h.socle_degree
-    cuts = [monomial_count(t) - h.at(t) for t in range(s + 2)]
+    cuts = [monomial_count(t) - e for t, e in enumerate(h.entries + (0,))]
     gens = []
     tail = start = 0  # the block holding rank lo, which starts at T(tail)
-    for t in range(1, s + 2):
+    for t in range(1, len(cuts)):
         # A rank r < lo has tail < t, so its parent m/x1 (rank r) lies in the
         # segment: only the new band [lo, hi) can hold generators.
         lo, hi = cuts[t - 1], cuts[t]
@@ -274,7 +263,6 @@ def count_gens_div_x3(ideal: MonomialIdeal, g: int) -> int:
     g - 1; the equality is meaningless otherwise, so non-stable input is
     rejected.
     """
-    g = _integer(g, "degree", 0)
     if not ideal.is_stable():
         raise ValueError("count_gens_div_x3 requires a stable ideal")
     return sum(1 for m in ideal.generators_of_degree(g) if m.e3 > 0)

@@ -111,6 +111,14 @@ def mul_var(m, var):
     return Monomial(*e)
 
 
+def max_var(m):
+    """Largest variable index with positive exponent (undefined for 1)."""
+    for var in (3, 2, 1):
+        if m[var - 1] > 0:
+            return var
+    raise ValueError("max_var of the constant monomial is undefined")
+
+
 def div_var(m, var):
     """m / x_var; ValueError when x_var does not divide m."""
     e = list(m)
@@ -153,9 +161,8 @@ def reduction_number_r1_lex(h):
     invariant of the lex ideal specifically: other ideals with the same
     Hilbert function can have a smaller reduction number.
     """
-    violation = h.o_sequence_violation()
-    if violation is not None:
-        raise ValueError(f"not an O-sequence (violation at index {violation})")
+    if not h.is_o_sequence():
+        raise ValueError(f"{h} is not an O-sequence")
     level = 0
     while green_bound(h.at(level + 1), level + 1) > 0:
         level += 1
@@ -200,7 +207,7 @@ def exchanges(gen):
     """The monomials x_i * gen / x_m for i < m, m the largest variable of gen."""
     if gen.degree == 0:
         return []
-    top = gen.max_var()
+    top = max_var(gen)
     return [mul_var(div_var(gen, top), i) for i in range(1, top)]
 
 
@@ -254,7 +261,7 @@ def ek_betti_by_generator(ideal):
     table = {}
     for gen in ideal.generators():
         for q in range(3):
-            mult = comb(gen.max_var() - 1, q)
+            mult = comb(max_var(gen) - 1, q)
             if mult:
                 key = (q, gen.degree + q)
                 table[key] = table.get(key, 0) + mult

@@ -308,9 +308,9 @@ def test_iarrobino_lift_examples():
 
 
 def test_iarrobino_lift_rejects_invalid_base():
-    with pytest.raises(ValueError, match="O-sequence"):
+    with pytest.raises(ValueError, match="violates Macaulay bound at degree 2"):
         iarrobino_lift(HVector((1, 3, 7)))
-    with pytest.raises(ValueError, match="h_1 = 3"):
+    with pytest.raises(ValueError, match="h1 must be 3"):
         iarrobino_lift(HVector((1, 2, 1)))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from levelalg import HVector, cli, ek_betti, oracle
 from levelalg.cli import run
+from levelalg.hvectors import lowest_violation
 
 
 def test_expand_default(capsys):
@@ -36,9 +38,13 @@ def test_expand_json(capsys):
 
 
 def test_expand_rejects_bad_arguments(capsys):
-    assert run(["expand", "-4", "2"]) == 2
-    assert run(["expand", "4", "0"]) == 2
-    capsys.readouterr()
+    # argparse only parses; the range is macaulay_expansion's to refuse
+    assert run(["expand", "-4", "2"]) == 3
+    assert capsys.readouterr() == ("", "n must be non-negative, got -4\n")
+    assert run(["expand", "4", "0"]) == 3
+    assert capsys.readouterr() == ("", "i must be at least 1, got 0\n")
+    assert run(["expand", "4", "x"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_ok(capsys):
@@ -94,7 +100,7 @@ def test_lex_invalid_hvector_goes_to_stderr(capsys):
     assert run(["lex", "1,3,7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "index 2" in captured.err
+    assert captured.err == "violates Macaulay bound at degree 2 (max 6)\n"
 
 
 def test_betti_diagram(capsys):
@@ -119,6 +125,67 @@ def test_betti_window(capsys):
     assert capsys.readouterr().out.strip() == "beta1_d2=2 beta2_d2=2 beta2_d3=1"
     assert run(["betti", "1,3,4", "--window", "9"]) == 3
     assert capsys.readouterr().err.strip() == "d must satisfy 1 <= d <= socle degree"
+    # h is validated before d, as `betti H` alone does
+    for argv in (["betti", "1", "--window", "1"], ["betti", "1,4,11", "--window", "9"]):
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", "h1 must be 3\n")
+
+
+REFUSING_COMMANDS = [
+    ["classify", "H"],
+    ["lex", "H"],
+    ["betti", "H"],
+    ["betti", "H", "--window", "1"],
+    ["construct", "iarrobino", "--base", "H"],
+]
+
+
+def test_every_subcommand_refuses_as_validate_reports(capsys):
+    # one owner for h-vector validity: validate's index is the library's,
+    # and every other subcommand refuses an invalid vector with validate's
+    # text, naming the lowest violating index
+    vectors = {
+        HVector(entries)
+        for length in range(1, 5)
+        for entries in itertools.product(range(8), repeat=length)
+    }
+    for h in sorted(vectors, key=lambda h: h.entries):
+        text = str(h)
+        code = run(["validate", text, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report.get("index") == lowest_violation(h), text
+        if report["ok"]:
+            assert code == 0, text
+            continue
+        assert code == 3, text
+        assert run(["validate", text]) == 3
+        message = capsys.readouterr().out
+        for command in REFUSING_COMMANDS:
+            argv = [text if arg == "H" else arg for arg in command]
+            assert run(argv) == 3, argv
+            assert capsys.readouterr() == ("", message), argv
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["expand", "-1", "2"], "n"),
+        (["expand", "4", "0"], "i"),
+        (["lex", "1,3,6", "--degree", "-1"], "degree"),
+        (["betti", "1,3,6", "--window", "0"], "degree"),
+        (["enumerate", "--socle", "0", "--cap", "5"], "s"),
+        (["enumerate", "--socle", "3", "--cap", "2"], "cap"),
+        (["construct", "t44b", "--d", "1", "--ell", "5"], "d"),
+        (["construct", "t44b", "--d", "5", "--ell", "2"], "ell"),
+    ],
+)
+def test_out_of_range_numbers_are_the_library_refusal(capsys, argv, name):
+    # argparse reads every number as a plain int; the library entry point
+    # checks its range, and its message names the argument
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{name} must be "), captured.err
 
 
 def test_classify_text(capsys):

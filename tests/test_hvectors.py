@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from levelalg import HVector, enumerate_o_sequences, growth_violation
+from levelalg.hvectors import lowest_violation, require_codim3
 from levelalg.oracle import osequence_filter
 
 
@@ -44,12 +46,37 @@ def test_parse_and_render():
         HVector.parse("1,3,x")
 
 
+@pytest.mark.parametrize(
+    "entries, index, message",
+    [
+        ((1, 3, 6, 10), None, None),
+        ((1, 3), None, None),
+        ((2, 3, 7), 0, "h0 must be 1"),
+        ((0, 4), 0, "h0 must be 1"),
+        ((1,), 1, "h1 must be 3"),
+        ((1, 2, 1), 1, "h1 must be 3"),
+        ((1, 4, 11), 1, "h1 must be 3"),  # h1 outranks the growth violation
+        ((1, 3, 7), 2, "violates Macaulay bound at degree 2 (max 6)"),
+        ((1, 3, 6, 10, 15, 16, 18, 22), 7, "violates Macaulay bound at degree 7 (max 21)"),
+    ],
+)
+def test_lowest_violation_and_its_message(entries, index, message):
+    h = HVector(entries)
+    assert lowest_violation(h) == index
+    if message is None:
+        require_codim3(h)
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            require_codim3(h)
+
+
 def test_at_reads_zero_beyond_socle():
     h = HVector((1, 3, 2))
     assert h.at(2) == 2
     assert h.at(5) == 0
-    with pytest.raises(IndexError):
-        h.at(-1)
+    for bad in (-1, 2.5, "1"):
+        with pytest.raises(ValueError, match="^degree must be"):
+            h.at(bad)
 
 
 @pytest.mark.parametrize(

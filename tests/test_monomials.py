@@ -28,6 +28,7 @@ from _support import (
     lex_compare,
     lex_generators_by_full_scan,
     max_generator_degree,
+    max_var,
     members_of_degree,
     monomial_at,
     monomial_ideals,
@@ -46,12 +47,15 @@ from _support import (
 def test_monomial_basics():
     m = Monomial(2, 0, 1)
     assert m.degree == 3
-    assert m.max_var() == 3
     assert str(m) == "x1^2*x3"
     assert str(Monomial(0, 0, 0)) == "1"
     assert str(Monomial(1, 1, 0)) == "x1*x2"
+
+
+def test_max_var():
+    assert max_var(Monomial(2, 0, 1)) == 3
     with pytest.raises(ValueError):
-        Monomial(0, 0, 0).max_var()
+        max_var(Monomial(0, 0, 0))
 
 
 def test_lex_compare():
@@ -374,7 +378,13 @@ def test_non_integer_degree_raises_before_rows_are_built(bad):
 @pytest.mark.parametrize("bad", [2.5, -1, "2", None])
 @pytest.mark.parametrize(
     "reader",
-    [MonomialIdeal._ensure_tables, quotient_hf, restricted_hf, count_gens_div_x3],
+    [
+        MonomialIdeal._ensure_tables,
+        MonomialIdeal.generators_of_degree,
+        quotient_hf,
+        restricted_hf,
+        count_gens_div_x3,
+    ],
     ids=lambda reader: reader.__name__,
 )
 def test_degree_readers_reject_bad_degrees(reader, bad):
