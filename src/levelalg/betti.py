@@ -102,9 +102,9 @@ def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
     validated before d.
     """
     _, b1, b2 = lex_betti(h)
-    d = _integer(d, "degree", 1)
+    d = _integer(d, "d", 1)
     if d > h.socle_degree:
-        raise ValueError("d must satisfy 1 <= d <= socle degree")
+        raise ValueError(f"d must be at most the socle degree {h.socle_degree}, got {d}")
     return b1[d + 2], b2[d + 2], b2[d + 3]
 
 

@@ -13,12 +13,16 @@ r - tail, r - tail - 1, and multiplying by them gives r, r + tail + 1,
 r + tail + 2.  The ranks of one tail form a block of tail + 1 bits starting
 at T(tail), so each of these offsets is one shift of a whole block, and the
 rows are built and read a block at a time.
+
+An ideal's minimal generators are read off its rows: a given monomial of
+degree t is one exactly when the row grown from degree t - 1 lacks it.  Rows
+are built at construction up to the top generator degree, and lazily beyond.
 """
 
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .binomials import binomial
 from .errors import _integer
@@ -35,9 +39,6 @@ class Monomial(NamedTuple):
     @property
     def degree(self) -> int:
         return self.e1 + self.e2 + self.e3
-
-    def divides(self, other: "Monomial") -> bool:
-        return self.e1 <= other.e1 and self.e2 <= other.e2 and self.e3 <= other.e3
 
     def __str__(self) -> str:
         parts = [
@@ -71,45 +72,37 @@ def lex_rank(m: Monomial) -> int:
 
 
 class MonomialIdeal:
-    """A monomial ideal given by its minimal generators.
+    """A monomial ideal, kept as its minimal generators and membership rows.
 
     Immutable after construction; exponents must be non-negative integers.
     Membership rows (one int bitset per degree, bit r set when the monomial
-    of lex rank r is a member) are built lazily from the generators alone
-    and cached.
+    of lex rank r is a member) are built at construction up to the top
+    generator degree, and lazily beyond it.
     """
 
     def __init__(self, generators: Iterable[Monomial]):
-        gens = sorted(
-            {_checked(m) for m in generators}, key=lambda m: (m.degree, lex_rank(m))
-        )
-        minimal: list[Monomial] = []
-        for m in gens:
-            if not any(g.divides(m) for g in minimal):
-                minimal.append(m)
-        self._set_generators(minimal)
+        given: dict[int, int] = {}
+        for m in map(_checked, generators):
+            given[m.degree] = given.get(m.degree, 0) | 1 << lex_rank(m)
+        self._build([given.get(t, 0) for t in range(max(given, default=-1) + 1)])
 
-    @classmethod
-    def _from_minimal(cls, minimal: list[Monomial]) -> "MonomialIdeal":
-        """The ideal of generators already minimal and ordered by degree then
-        lex rank, without the quadratic minimality filter of the constructor.
+    def _build(self, given: list[int]) -> None:
+        """The ideal of the monomials whose bits are set in given[t], degree t.
+
+        Row t is the row grown from row t - 1 plus the given bits; the given
+        bits the grown row lacks are the minimal generators of degree t.
         """
-        ideal = cls.__new__(cls)
-        ideal._set_generators(minimal)
-        return ideal
-
-    def _set_generators(self, minimal: list[Monomial]) -> None:
-        self._generators = tuple(minimal)
-        by_degree: dict[int, list[Monomial]] = {}
-        powers: set[int] = set()  # variables with a pure power among the generators
-        for m in minimal:
-            d = m.e1 + m.e2 + m.e3
-            by_degree.setdefault(d, []).append(m)
-            if d in m:  # a pure power; the unit monomial is one of every variable
-                powers.update(v for v, e in enumerate(m) if e == d)
-        self._gens_by_degree = {d: tuple(ms) for d, ms in by_degree.items()}
-        self._finite_colength = len(powers) == 3
-        self._member: list[int] = []
+        rows: list[int] = []
+        by_degree: dict[int, tuple[Monomial, ...]] = {}
+        for t, bits in enumerate(given):
+            grown = _grown_row(rows)
+            minimal = bits & ~grown
+            if minimal:
+                by_degree[t] = tuple(_decode(minimal, t))
+            rows.append(grown | bits)
+        self._generators = tuple(m for ms in by_degree.values() for m in ms)
+        self._gens_by_degree = by_degree
+        self._member = rows
         self._stable: Optional[bool] = None
 
     def generators(self) -> tuple[Monomial, ...]:
@@ -120,7 +113,7 @@ class MonomialIdeal:
         return self._gens_by_degree.get(_integer(d, "degree", 0), ())
 
     def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self._gens_by_degree))
+        return tuple(self._gens_by_degree)
 
     def _ensure_tables(self, through: int) -> int:
         """The membership row of degree `through`, built with every row below it.
@@ -131,24 +124,7 @@ class MonomialIdeal:
         through = _integer(through, "degree", 0)
         rows = self._member
         while len(rows) <= through:
-            t = len(rows)
-            row = 0
-            for m in self._gens_by_degree.get(t, ()):
-                row |= 1 << lex_rank(m)
-            if t > 0:
-                # a non-generator is a member when one of its parents m/x1,
-                # m/x2, m/x3 is.  The x1 parents are the previous row itself;
-                # block tail - 1 of it (T(tail - 1) = start, tail bits) holds
-                # the x2 parents of block tail shifted down by tail, and the
-                # x3 parents shifted down by tail + 1.
-                prev = rows[-1]
-                row |= prev
-                start = 0
-                for tail in range(1, t + 1):
-                    block = prev & (((1 << tail) - 1) << start)
-                    row |= (block | (block << 1)) << tail
-                    start += tail
-            rows.append(row)
+            rows.append(_grown_row(rows))
         return rows[through]
 
     def is_stable(self) -> bool:
@@ -179,7 +155,12 @@ class MonomialIdeal:
 
     def _vanishing_degree(self) -> int:
         """Least degree in which every monomial lies in the ideal."""
-        if not self._finite_colength:
+        # x1^g, x2^g, x3^g (ranks 0, T(g), T(g + 1) - 1) are members at the
+        # top generator degree g exactly when a power of each variable is a
+        # generator
+        g = max(self._gens_by_degree, default=0)
+        corners = 1 | 1 << g * (g + 1) // 2 | 1 << (g + 1) * (g + 2) // 2 - 1
+        if self._ensure_tables(g) & corners != corners:
             raise ValueError("ideal does not have finite colength")
         t = 0
         while self._ensure_tables(t) != (1 << monomial_count(t)) - 1:
@@ -195,6 +176,46 @@ class MonomialIdeal:
         return f"MonomialIdeal({', '.join(str(m) for m in self.generators())})"
 
 
+def _grown_row(rows: list[int]) -> int:
+    """The members of degree t = len(rows) that are multiples of row t - 1.
+
+    A monomial is such a multiple when one of its parents m/x1, m/x2, m/x3
+    is a member.  The x1 parents are the previous row itself; block
+    tail - 1 of it (tail bits from T(tail - 1) = start) holds the x2
+    parents of block tail shifted down by tail, and the x3 parents shifted
+    down by tail + 1.
+    """
+    if not rows:
+        return 0
+    rest = row = rows[-1]
+    start = 0
+    for tail in range(1, len(rows) + 1):
+        if not rest:
+            break
+        block = rest & ((1 << tail) - 1)
+        row |= (block | block << 1) << start + tail
+        rest >>= tail
+        start += tail
+    return row
+
+
+def _decode(bits: int, t: int) -> Iterator[Monomial]:
+    """The degree-t monomials whose ranks are set in bits, in rank order.
+
+    Block tail, tail + 1 bits from rank T(tail), holds
+    x1^(t - tail) * x2^(tail - e3) * x3^e3 at offset e3.
+    """
+    for tail in range(t + 1):
+        if not bits:
+            break
+        block = bits & ((1 << tail + 1) - 1)
+        while block:
+            e3 = (block & -block).bit_length() - 1
+            yield Monomial(t - tail, tail - e3, e3)
+            block &= block - 1
+        bits >>= tail + 1
+
+
 def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     """The lex-segment ideal whose quotient has Hilbert function h.
 
@@ -204,34 +225,11 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     would not produce an ideal.
     """
     require_codim3(h)
-    return MonomialIdeal._from_minimal(_lex_generators(h))
-
-
-def _lex_generators(h: HVector) -> list[Monomial]:
-    """Minimal generators of the lex-segment ideal of h, by degree then rank."""
-    cuts = [monomial_count(t) - e for t, e in enumerate(h.entries + (0,))]
-    gens = []
-    tail = start = 0  # the block holding rank lo, which starts at T(tail)
-    for t in range(1, len(cuts)):
-        # A rank r < lo has tail < t, so its parent m/x1 (rank r) lies in the
-        # segment: only the new band [lo, hi) can hold generators.
-        lo, hi = cuts[t - 1], cuts[t]
-        while start + tail < lo:  # block tail ends below lo
-            start += tail + 1
-            tail += 1
-        k, block_start = tail, start
-        while block_start < hi:
-            # In block k, m/x2 has rank base + e3 and m/x3 rank base + e3 - 1,
-            # base = T(k - 1).  Both lie outside the segment (>= lo) for
-            # every e3 when base >= lo; otherwise e3 = 0 fails on m/x2 and
-            # e3 >= 1 needs base + e3 - 1 >= lo.  m/x1 has rank r >= lo.
-            base = block_start - k
-            first = 0 if base >= lo else lo - base + 1
-            last = min(k, hi - 1 - block_start)
-            gens.extend(Monomial(t - k, k - e3, e3) for e3 in range(first, last + 1))
-            block_start += k + 1
-            k += 1
-    return gens
+    ideal = MonomialIdeal.__new__(MonomialIdeal)
+    ideal._build(
+        [(1 << monomial_count(t) - e) - 1 for t, e in enumerate(h.entries + (0,))]
+    )
+    return ideal
 
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:

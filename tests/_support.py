@@ -111,6 +111,22 @@ def mul_var(m, var):
     return Monomial(*e)
 
 
+def divides(g, m):
+    """Whether the monomial g divides m."""
+    return all(a <= b for a, b in zip(g, m))
+
+
+def minimal_by_divisor_scan(monomials):
+    """Reference minimal generators: the distinct monomials, by degree then
+    lex rank, that no earlier kept monomial divides."""
+    ranked = sorted(set(monomials), key=lambda m: (m.degree, lex_rank(m)))
+    minimal = []
+    for m in ranked:
+        if not any(divides(g, m) for g in minimal):
+            minimal.append(m)
+    return tuple(minimal)
+
+
 def max_var(m):
     """Largest variable index with positive exponent (undefined for 1)."""
     for var in (3, 2, 1):
@@ -222,7 +238,7 @@ def is_stable_by_exchange(ideal):
 
 def in_ideal_by_scan(ideal, m):
     """Reference membership: some minimal generator divides m."""
-    return any(g.divides(m) for g in ideal.generators())
+    return any(divides(g, m) for g in ideal.generators())
 
 
 def colon_dim_by_scan(ideal, var, t):
@@ -315,6 +331,21 @@ def monomials(draw, max_degree=6):
     e1 = draw(st.integers(0, t))
     e2 = draw(st.integers(0, t - e1))
     return Monomial(e1, e2, t - e1 - e2)
+
+
+@st.composite
+def raw_monomial_lists(draw, max_degree=4):
+    """Generator lists as a caller may pass them: possibly empty, with
+    repeats, multiples of other entries and the unit monomial mixed in."""
+    ms = draw(st.lists(monomials(max_degree), max_size=6))
+    for m in list(ms):
+        if draw(st.booleans()):
+            ms.append(m)
+        if draw(st.booleans()):
+            ms.append(mul_var(m, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        ms.append(Monomial(0, 0, 0))
+    return draw(st.permutations(ms))
 
 
 def monomial_ideals(max_degree=6, max_gens=6):

@@ -216,7 +216,7 @@ def test_lex_betti_window_bounds_checked():
 
 @pytest.mark.parametrize("bad", [2.5, "2", None])
 def test_lex_betti_window_rejects_non_integer_d(bad):
-    with pytest.raises(ValueError, match="degree must be an integer"):
+    with pytest.raises(ValueError, match="^d must be an integer"):
         lex_betti_window(HVector((1, 3, 6, 10, 15, 16, 18)), bad)
 
 

@@ -389,7 +389,7 @@ def test_classify_reads_no_diagram_and_no_h_lookups(monkeypatch):
         raise AssertionError("classify must read the integer columns by index")
 
     # no ideal is built to resolve, and h is read through its entries
-    monkeypatch.setattr(MonomialIdeal, "_set_generators", forbidden)
+    monkeypatch.setattr(MonomialIdeal, "_build", forbidden)
     monkeypatch.setattr(HVector, "at", forbidden)
     kinds = {classify(h).kind for h in enumerate_o_sequences(5, 12)}
     assert kinds == {LEVEL, NOT_LEVEL, UNKNOWN}

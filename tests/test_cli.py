@@ -124,7 +124,7 @@ def test_betti_window(capsys):
     assert run(["betti", "1,3,6,10,15,16,18", "--window", "5"]) == 0
     assert capsys.readouterr().out.strip() == "beta1_d2=2 beta2_d2=2 beta2_d3=1"
     assert run(["betti", "1,3,4", "--window", "9"]) == 3
-    assert capsys.readouterr().err.strip() == "d must satisfy 1 <= d <= socle degree"
+    assert capsys.readouterr().err == "d must be at most the socle degree 2, got 9\n"
     # h is validated before d, as `betti H` alone does
     for argv in (["betti", "1", "--window", "1"], ["betti", "1,4,11", "--window", "9"]):
         assert run(argv) == 3
@@ -172,7 +172,7 @@ def test_every_subcommand_refuses_as_validate_reports(capsys):
         (["expand", "-1", "2"], "n"),
         (["expand", "4", "0"], "i"),
         (["lex", "1,3,6", "--degree", "-1"], "degree"),
-        (["betti", "1,3,6", "--window", "0"], "degree"),
+        (["betti", "1,3,6", "--window", "0"], "d"),
         (["enumerate", "--socle", "0", "--cap", "5"], "s"),
         (["enumerate", "--socle", "3", "--cap", "2"], "cap"),
         (["construct", "t44b", "--d", "1", "--ell", "5"], "d"),

@@ -55,7 +55,7 @@ ENTRIES = {
     "construct_plateau_level-ell": (lambda v: construct_plateau_level(4, v), "ell", 2),
     "lex_betti_window-d": (
         lambda v: lex_betti_window(HVector((1, 3, 6, 10, 15, 16, 18)), v),
-        "degree",
+        "d",
         0,
     ),
     "replay_certificate-d": (_replay_r31, "d", None),

@@ -17,10 +17,11 @@ from levelalg import (
     restricted_hf,
     socle_dims,
 )
-from levelalg.monomials import _lex_generators, lex_rank, monomial_count
+from levelalg.monomials import lex_rank, monomial_count
 
 from _support import (
     contains,
+    divides,
     family_hvector,
     finite_colength_ideals,
     in_ideal_by_scan,
@@ -30,6 +31,7 @@ from _support import (
     max_generator_degree,
     max_var,
     members_of_degree,
+    minimal_by_divisor_scan,
     monomial_at,
     monomial_ideals,
     monomials_of_degree,
@@ -37,6 +39,7 @@ from _support import (
     o_sequences,
     random_o_sequence,
     random_stable_ideal,
+    raw_monomial_lists,
     reduction_number_r1_lex,
     render_ideal,
     restricted_hf_by_monomials,
@@ -136,6 +139,17 @@ def test_minimal_generators_deduplicated():
     assert ideal.generators() == (Monomial(2, 0, 0), Monomial(0, 2, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw_monomial_lists())
+@example([])
+@example([Monomial(0, 0, 0), Monomial(1, 0, 0), Monomial(0, 0, 0)])
+@example([Monomial(1, 1, 0), Monomial(2, 1, 0), Monomial(1, 1, 0), Monomial(0, 1, 0)])
+def test_generators_are_the_divisor_scan_minimal_set(ms):
+    # a given monomial is a generator exactly when the row grown from the
+    # degree below lacks it
+    assert MonomialIdeal(ms).generators() == minimal_by_divisor_scan(ms), ms
+
+
 def test_membership_matches_divisibility():
     rng = random.Random(5)
     for _ in range(30):
@@ -146,7 +160,7 @@ def test_membership_matches_divisibility():
         ideal = MonomialIdeal(gens)
         for t in range(0, 7):
             for m in monomials_of_degree(t):
-                assert contains(ideal, m) == any(g.divides(m) for g in gens)
+                assert contains(ideal, m) == any(divides(g, m) for g in gens)
 
 
 def test_lex_segment_maximal_ideal_square():
@@ -217,15 +231,11 @@ def test_lex_segments_are_stable_via_raw_check():
         assert rebuilt.is_stable(), h
 
 
-def test_band_scan_matches_full_rank_scan():
-    # compare the band scan's raw output, before MonomialIdeal's minimality
-    # filter could hide a non-minimal generator it let in
+def test_lex_generators_match_full_rank_scan():
     for s in range(1, 6):
         for h in enumerate_o_sequences(s, 20):
-            band = _lex_generators(h)
-            assert band == lex_generators_by_full_scan(h), h
-            assert lex_segment_ideal(h).generators() == tuple(band), h
-            assert MonomialIdeal(band).generators() == tuple(band), h
+            gens = lex_segment_ideal(h).generators()
+            assert gens == tuple(lex_generators_by_full_scan(h)), h
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,9 +244,10 @@ def test_band_scan_matches_full_rank_scan():
 @example(family_hvector(20, 12))
 @example(family_hvector(24, 8))
 @example(family_hvector(24, 12))
-def test_band_walk_matches_full_rank_scan_at_verify_sizes(h):
+def test_lex_generators_match_full_rank_scan_at_verify_sizes(h):
     # the verify workload runs s = 8..24, past the exhaustive check above
-    assert _lex_generators(h) == lex_generators_by_full_scan(h), h
+    gens = lex_segment_ideal(h).generators()
+    assert gens == tuple(lex_generators_by_full_scan(h)), h
 
 
 def test_segments_are_closed_under_multiplication():
@@ -365,14 +376,16 @@ def test_negative_degree_raises_before_and_after_rows_are_cached():
 
 @pytest.mark.parametrize("bad", [2.5, "2", None])
 def test_non_integer_degree_raises_before_rows_are_built(bad):
+    # construction builds the rows through degree s + 1 = 7; a refused
+    # call adds none and changes none, before or after more are built
     ideal = lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))
-    with pytest.raises(ValueError, match="degree must be an integer"):
-        ideal._ensure_tables(bad)
-    assert ideal._member == []
-    quotient_hf(ideal, 3)
-    with pytest.raises(ValueError, match="degree must be an integer"):
-        ideal._ensure_tables(bad)
-    assert len(ideal._member) == 4
+    for through in (7, 9):
+        quotient_hf(ideal, through)
+        rows = list(ideal._member)
+        assert len(rows) == through + 1
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            ideal._ensure_tables(bad)
+        assert ideal._member == rows
 
 
 @pytest.mark.parametrize("bad", [2.5, -1, "2", None])
