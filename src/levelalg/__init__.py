@@ -23,7 +23,6 @@ from .hvectors import HVector, enumerate_o_sequences, growth_violation
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    count_gens_div_x3,
     lex_segment_ideal,
     quotient_hf,
     restricted_hf,
@@ -35,6 +34,7 @@ from .betti import (
     lex_betti_window,
     numerator_check,
     render_diagram,
+    verify_lex,
 )
 from .classify import (
     Certificate,
@@ -57,7 +57,6 @@ __all__ = [
     "binomial",
     "classify",
     "construct_plateau_level",
-    "count_gens_div_x3",
     "ek_betti",
     "enumerate_o_sequences",
     "green_bound",
@@ -76,4 +75,5 @@ __all__ = [
     "restricted_hf",
     "shift",
     "socle_dims",
+    "verify_lex",
 ]

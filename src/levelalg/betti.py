@@ -12,15 +12,17 @@ counts by degree and largest variable follow from h alone, through the
 Macaulay and Green bounds, so :func:`lex_betti` never builds the ideal.
 :func:`ek_betti` resolves an explicit ideal and, applied to
 :func:`~levelalg.monomials.lex_segment_ideal`, is the slow twin that
-verifies it.
+verifies it; :func:`verify_lex` runs that check and the brute-force
+:mod:`levelalg.oracle` twins.
 """
 
 from __future__ import annotations
 
-from .binomials import green_bound, macaulay_bound
-from .errors import _integer
+from . import oracle
+from .binomials import green_bound, macaulay_bound, macaulay_expansion
+from .errors import ConsistencyError, _integer
 from .hvectors import HVector, require_codim3
-from .monomials import MonomialIdeal, quotient_hf
+from .monomials import MonomialIdeal, lex_segment_ideal, quotient_hf, socle_dims
 
 Columns = tuple[list[int], list[int], list[int]]
 
@@ -134,6 +136,59 @@ def _numerator_identity(hf: tuple[int, ...], columns: Columns) -> bool:
         for k, c in enumerate(cube):
             rhs[t + k] += value * c
     return lhs == rhs
+
+
+def verify_lex(h: HVector) -> None:
+    """Cross-check the lex ideal of h and :func:`lex_betti` against the slow twins.
+
+    In order: the ideal's Hilbert function against h, the numerator identity
+    of its :func:`ek_betti` resolution, that resolution against
+    :func:`lex_betti`, its beta_2 against the oracle's x3-colon counts,
+    :func:`~levelalg.monomials.socle_dims` and then beta_2 against the
+    oracle's socle counts, and the Macaulay expansions of h_d against an
+    exhaustive search (only for d <= 8 and h_d <= 5000).  Raises
+    ConsistencyError at the first disagreement.
+    """
+    ideal = lex_segment_ideal(h)
+    # The quotient vanishes from degree s + 1 on, so degrees 0..s+1 hold its
+    # whole Hilbert function and every colon and socle count; the range comes
+    # from h, not from the counts under test.
+    top = h.socle_degree + 1
+    hf = quotient_hf(ideal, top)
+    if hf != h.entries + (0,):
+        raise ConsistencyError(f"Hilbert function {hf} of R/lex({h}) is not h")
+    betti = ek_betti(ideal)
+    if not _numerator_identity(hf, betti):
+        raise ConsistencyError(f"Hilbert-series numerator mismatch for lex({h})")
+    h_only = lex_betti(h)
+    if h_only != betti:
+        raise ConsistencyError(
+            f"h-only Betti columns {h_only} != resolution of lex({h}) {betti}"
+        )
+    # For a stable ideal, beta_{2,t+3} counts the generators of degree t + 1
+    # divisible by x3, which is both dim (J : x3)/J and the socle dimension
+    # in degree t.
+    beta2 = {j - 3: mult for j, mult in enumerate(betti[2]) if mult}
+    direct = oracle.colon_and_socle_dims(ideal, top)
+    colon = [beta2.get(t, 0) for t in range(top + 1)]
+    direct_colon = [c for c, _ in direct]
+    if colon != direct_colon:
+        raise ConsistencyError(
+            f"x3-colon counts by degree {colon} vs oracle {direct_colon}"
+        )
+    direct_socle = {t: n for t, (_, n) in enumerate(direct) if n}
+    dims = socle_dims(ideal)
+    if dims != direct_socle:
+        raise ConsistencyError(f"socle dimensions {dims} vs oracle {direct_socle}")
+    if beta2 != direct_socle:
+        raise ConsistencyError(
+            f"socle/Betti duality fails: beta_2 by socle degree {beta2} "
+            f"vs oracle socle {direct_socle}"
+        )
+    for d in range(1, min(h.socle_degree, 8) + 1):
+        n = h[d]
+        if n <= 5000 and oracle.expansion_exhaustive(n, d) != macaulay_expansion(n, d):
+            raise ConsistencyError(f"expansion mismatch for ({n}, {d})")
 
 
 def render_diagram(columns: Columns) -> str:

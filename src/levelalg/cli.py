@@ -16,15 +16,8 @@ import functools
 import json
 import sys
 
-from . import oracle
 from .binomials import green_bound, macaulay_bound, macaulay_expansion
-from .betti import (
-    _numerator_identity,
-    ek_betti,
-    lex_betti,
-    lex_betti_window,
-    render_diagram,
-)
+from .betti import lex_betti, lex_betti_window, render_diagram, verify_lex
 from .classify import (
     LEVEL,
     NOT_LEVEL,
@@ -37,7 +30,7 @@ from .classify import (
 )
 from .errors import ConsistencyError
 from .hvectors import HVector, enumerate_o_sequences, lowest_violation, require_codim3
-from .monomials import count_gens_div_x3, lex_segment_ideal, quotient_hf, socle_dims
+from .monomials import lex_segment_ideal
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -194,49 +187,6 @@ def _cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _verify_against_oracles(h: HVector) -> None:
-    ideal = lex_segment_ideal(h)
-    # The quotient vanishes from degree s + 1 on, so degrees 0..s+1 hold its
-    # whole Hilbert function and every colon and socle count; the range comes
-    # from h, not from the counts under test.
-    top = h.socle_degree + 1
-    hf = quotient_hf(ideal, top)
-    if hf != h.entries + (0,):
-        raise ConsistencyError(f"Hilbert function {hf} of R/lex({h}) is not h")
-    betti = ek_betti(ideal)
-    if not _numerator_identity(hf, betti):
-        raise ConsistencyError(f"Hilbert-series numerator mismatch for lex({h})")
-    h_only = lex_betti(h)
-    if h_only != betti:
-        raise ConsistencyError(
-            f"h-only Betti columns {h_only} != resolution of lex({h}) {betti}"
-        )
-    direct = oracle.colon_and_socle_dims(ideal, top)
-    # dim (J : x3)/J in degree t counts the generators of degree t + 1
-    # divisible by x3
-    colon = [count_gens_div_x3(ideal, t + 1) for t in range(top + 1)]
-    direct_colon = [c for c, _ in direct]
-    if colon != direct_colon:
-        raise ConsistencyError(
-            f"x3-colon counts by degree {colon} vs oracle {direct_colon}"
-        )
-    direct_socle = {t: n for t, (_, n) in enumerate(direct) if n}
-    dims = socle_dims(ideal)
-    if dims != direct_socle:
-        raise ConsistencyError(f"socle dimensions {dims} vs oracle {direct_socle}")
-    # beta_{2,t+3} is the socle dimension in degree t
-    dual = {j - 3: mult for j, mult in enumerate(betti[2]) if mult}
-    if dual != direct_socle:
-        raise ConsistencyError(
-            f"socle/Betti duality fails: beta_2 by socle degree {dual} "
-            f"vs oracle socle {direct_socle}"
-        )
-    for d in range(1, min(h.socle_degree, 8) + 1):
-        n = h[d]
-        if n <= 5000 and oracle.expansion_exhaustive(n, d) != macaulay_expansion(n, d):
-            raise ConsistencyError(f"expansion mismatch for ({n}, {d})")
-
-
 def _certificate_text(cert) -> str:
     quantities = " ".join(f"{k}={v}" for k, v in cert.quantities.items())
     return f"  {cert.rule} at d={cert.d}: {quantities}"
@@ -245,7 +195,7 @@ def _certificate_text(cert) -> str:
 def _cmd_classify(args) -> int:
     verdict = classify(args.hvector)
     if args.verify:
-        _verify_against_oracles(args.hvector)
+        verify_lex(args.hvector)
     payload = {"hvector": list(args.hvector), **verdict.as_dict()}
     if args.quiet:
         text = verdict.kind

@@ -254,18 +254,6 @@ def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def count_gens_div_x3(ideal: MonomialIdeal, g: int) -> int:
-    """Number of degree-g minimal generators divisible by x3.
-
-    For a stable ideal this equals the dimension of (J : x3)/J in degree
-    g - 1; the equality is meaningless otherwise, so non-stable input is
-    rejected.
-    """
-    if not ideal.is_stable():
-        raise ValueError("count_gens_div_x3 requires a stable ideal")
-    return sum(1 for m in ideal.generators_of_degree(g) if m.e3 > 0)
-
-
 def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
     """Dimensions of the quotient's socle by degree (zero entries omitted).
 

@@ -61,6 +61,7 @@ def colon_and_socle_dims(ideal: MonomialIdeal, top: int) -> list[tuple[int, int]
     the ideal counts towards the colon when x3*u is inside, and towards the
     socle when x1*u and x2*u are inside too.
     """
+    top = _integer(top, "top", 0)
     # u = (e1, e2, e3) is in J when corner[e1][e2] <= e3; x1*u, x2*u and
     # x3*u are when corner[e1 + 1][e2], corner[e1][e2 + 1] <= e3 and
     # corner[e1][e2] <= e3 + 1

@@ -14,7 +14,6 @@ from levelalg import (
     binomial,
     classify,
     construct_plateau_level,
-    count_gens_div_x3,
     ek_betti,
     enumerate_o_sequences,
     green_bound,

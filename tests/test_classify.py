@@ -5,12 +5,15 @@ import importlib
 import json
 import pickle
 from dataclasses import replace
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from levelalg import (
     HVector,
+    Monomial,
     MonomialIdeal,
     classify,
     construct_plateau_level,
@@ -19,9 +22,11 @@ from levelalg import (
     iarrobino_lift,
     lex_betti_window,
     lex_segment_ideal,
+    quotient_hf,
     replay_certificate,
+    socle_dims,
 )
-from levelalg import hvectors
+from levelalg import hvectors, oracle
 from levelalg.classify import (
     LEVEL,
     NOT_LEVEL,
@@ -37,7 +42,13 @@ from levelalg.classify import (
     Certificate,
 )
 
-from _support import LEVEL_VECTORS, NOT_LEVEL_VECTORS, family_hvector, o_sequences
+from _support import (
+    LEVEL_VECTORS,
+    NOT_LEVEL_VECTORS,
+    family_hvector,
+    monomials_of_degree,
+    o_sequences,
+)
 
 # the package exports the function classify under the module's name
 classify_module = importlib.import_module("levelalg.classify")
@@ -350,6 +361,51 @@ def test_constructed_lifts_are_never_rejected():
     for d, ell in [(6, 3), (7, 7), (8, 10), (9, 3), (10, 20)]:
         _, lifted = construct_plateau_level(d, ell)
         assert classify(lifted).kind != NOT_LEVEL, (d, ell)
+
+
+def _pure(*exponents):
+    return frozenset(Monomial(*e) for e in exponents)
+
+
+# A nonempty set W of degree-s monomials.  The monomials that divide no
+# element of W form an ideal I whose quotient is level of socle degree s and
+# type |W| over every field: its standard monomials are the divisors of W,
+# and its socle is their maximal elements, W itself.  So h_i, the number of
+# degree-i divisors of W, is a level h-vector (a pure O-sequence).
+PURE_SETS = st.integers(2, 6).flatmap(
+    lambda s: st.frozensets(st.sampled_from(monomials_of_degree(s)), min_size=1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PURE_SETS)
+# one W for each pure O-sequence that classify leaves Unknown at s <= 3
+@example(_pure((2, 0, 0), (0, 1, 1)))  # (1, 3, 2)
+@example(_pure((1, 1, 1)))  # (1, 3, 3, 1)
+@example(_pure((3, 0, 0), (0, 2, 1)))  # (1, 3, 3, 2)
+@example(_pure((3, 0, 0), (1, 1, 1)))  # (1, 3, 4, 2)
+@example(_pure((3, 0, 0), (2, 1, 0), (1, 1, 1)))  # (1, 3, 4, 3)
+@example(_pure((3, 0, 0), (1, 2, 0), (1, 1, 1)))  # (1, 3, 5, 3)
+@example(_pure((3, 0, 0), (2, 1, 0), (2, 0, 1), (0, 2, 1)))  # (1, 3, 5, 4)
+@example(_pure((2, 1, 0), (1, 0, 2), (0, 2, 1)))  # (1, 3, 6, 3)
+@example(_pure((3, 0, 0), (2, 1, 0), (1, 0, 2), (0, 2, 1)))  # (1, 3, 6, 4)
+@example(_pure((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 1, 2)))  # (1, 3, 6, 5)
+def test_pure_o_sequences_are_never_not_level(w):
+    s = next(iter(w)).degree
+    standard = {
+        d for m in w for d in product(range(m.e1 + 1), range(m.e2 + 1), range(m.e3 + 1))
+    }
+    h = tuple(sum(1 for d in standard if sum(d) == i) for i in range(s + 1))
+    assume(h[1] == 3)
+    assert classify(HVector(h)).kind != NOT_LEVEL, (h, w)
+    # the monomial layer and the oracle read the same h and socle off I
+    ideal = MonomialIdeal(
+        m for t in range(s + 2) for m in monomials_of_degree(t) if m not in standard
+    )
+    assert quotient_hf(ideal, s + 1) == h + (0,), w
+    assert socle_dims(ideal) == {s: len(w)}, w
+    direct = oracle.colon_and_socle_dims(ideal, s + 1)
+    assert {t: n for t, (_, n) in enumerate(direct) if n} == {s: len(w)}, w
 
 
 def test_verdict_json_shape():

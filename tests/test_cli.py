@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from levelalg import HVector, cli, ek_betti, oracle
+from levelalg import HVector, betti, cli, ek_betti, oracle
 from levelalg.cli import run
 from levelalg.hvectors import lowest_violation
 
@@ -234,7 +234,7 @@ def test_classify_verify_json_bytes(capsys):
 
 def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
     wrong = ([0, 0, 1], [], [])
-    monkeypatch.setattr(cli, "lex_betti", lambda h: wrong)
+    monkeypatch.setattr(betti, "lex_betti", lambda h: wrong)
     assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -262,8 +262,8 @@ def test_classify_verification_catches_wrong_socle_dims(
     capsys, monkeypatch, entries, mutant
 ):
     # the degrees checked come from h, not from the socle counts under test
-    real = cli.socle_dims
-    monkeypatch.setattr(cli, "socle_dims", lambda ideal: SOCLE_MUTANTS[mutant](real(ideal)))
+    real = betti.socle_dims
+    monkeypatch.setattr(betti, "socle_dims", lambda ideal: SOCLE_MUTANTS[mutant](real(ideal)))
     assert run(["classify", entries, "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -273,7 +273,7 @@ def test_classify_verification_catches_wrong_socle_dims(
 def test_classify_verification_matches_every_second_syzygy(capsys, monkeypatch):
     # socle counts and oracle agree on a dropped top degree: its beta_2
     # entry is then left without a socle counterpart, and must still fail
-    real_dims, real_oracle = cli.socle_dims, oracle.colon_and_socle_dims
+    real_dims, real_oracle = betti.socle_dims, oracle.colon_and_socle_dims
 
     def oracle_without_top_degree(ideal, top):
         dims = real_oracle(ideal, top)
@@ -281,7 +281,7 @@ def test_classify_verification_matches_every_second_syzygy(capsys, monkeypatch):
         dims[last] = (dims[last][0], 0)
         return dims
 
-    monkeypatch.setattr(cli, "socle_dims", lambda ideal: without_top_degree(real_dims(ideal)))
+    monkeypatch.setattr(betti, "socle_dims", lambda ideal: without_top_degree(real_dims(ideal)))
     monkeypatch.setattr(oracle, "colon_and_socle_dims", oracle_without_top_degree)
     assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
     captured = capsys.readouterr()
@@ -313,7 +313,7 @@ def test_classify_verification_checks_numerator_of_its_resolution(capsys, monkey
         b2[max(j for j, mult in enumerate(b2) if mult)] = 0
         return b0, b1, b2
 
-    monkeypatch.setattr(cli, "ek_betti", short_resolution)
+    monkeypatch.setattr(betti, "ek_betti", short_resolution)
     assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -324,9 +324,9 @@ def test_classify_verification_ties_the_ideal_to_h(capsys, monkeypatch):
     # an ideal and Betti numbers that agree with each other, but belong to
     # another h-vector of the same socle degree, must still fail
     other = HVector.parse("1,3,1,1,1,1,1")
-    real_ideal, real_betti = cli.lex_segment_ideal, cli.lex_betti
-    monkeypatch.setattr(cli, "lex_segment_ideal", lambda h: real_ideal(other))
-    monkeypatch.setattr(cli, "lex_betti", lambda h: real_betti(other))
+    real_ideal, real_betti = betti.lex_segment_ideal, betti.lex_betti
+    monkeypatch.setattr(betti, "lex_segment_ideal", lambda h: real_ideal(other))
+    monkeypatch.setattr(betti, "lex_betti", lambda h: real_betti(other))
     assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -341,7 +341,7 @@ def test_classify_refuses_before_verifying(capsys, monkeypatch):
     def record(name):
         return lambda *args: calls.append(name)
 
-    monkeypatch.setattr(cli, "lex_segment_ideal", record("lex_segment_ideal"))
+    monkeypatch.setattr(betti, "lex_segment_ideal", record("lex_segment_ideal"))
     monkeypatch.setattr(oracle, "colon_and_socle_dims", record("colon_and_socle_dims"))
     monkeypatch.setattr(oracle, "expansion_exhaustive", record("expansion_exhaustive"))
     assert run(["classify", "1,3", "--verify"]) == 3
@@ -506,8 +506,12 @@ def test_build_parser_returns_a_fresh_parser(capsys):
 def test_classify_verification_catches_wrong_x3_colon_counts(
     capsys, monkeypatch, entries
 ):
-    real = cli.count_gens_div_x3
-    monkeypatch.setattr(cli, "count_gens_div_x3", lambda ideal, g: real(ideal, g) + 1)
+    real = oracle.colon_and_socle_dims
+
+    def colon_plus_one(ideal, top):
+        return [(colon + 1, socle) for colon, socle in real(ideal, top)]
+
+    monkeypatch.setattr(oracle, "colon_and_socle_dims", colon_plus_one)
     assert run(["classify", entries, "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -517,8 +521,8 @@ def test_classify_verification_catches_wrong_x3_colon_counts(
 @pytest.mark.parametrize("entries", VERIFY_VECTORS)
 def test_classify_verification_catches_wrong_expansion(capsys, monkeypatch, entries):
     # the expansion of n + 1 differs from that of n, by uniqueness
-    real = cli.macaulay_expansion
-    monkeypatch.setattr(cli, "macaulay_expansion", lambda n, i: real(n + 1, i))
+    real = betti.macaulay_expansion
+    monkeypatch.setattr(betti, "macaulay_expansion", lambda n, i: real(n + 1, i))
     assert run(["classify", entries, "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

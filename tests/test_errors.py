@@ -15,12 +15,13 @@ from levelalg import (
     enumerate_o_sequences,
     green_bound,
     lex_betti_window,
+    lex_segment_ideal,
     macaulay_bound,
     macaulay_expansion,
     replay_certificate,
 )
 from levelalg.classify import R_31, R_44A, R_CANCEL
-from levelalg.oracle import expansion_exhaustive, osequence_filter
+from levelalg.oracle import colon_and_socle_dims, expansion_exhaustive, osequence_filter
 
 
 def _replay_r31(d):
@@ -51,6 +52,11 @@ ENTRIES = {
     "enumerate_o_sequences-cap": (lambda v: list(enumerate_o_sequences(3, v)), "cap", 2),
     "osequence_filter-s": (lambda v: osequence_filter(v, 10), "s", 0),
     "osequence_filter-cap": (lambda v: osequence_filter(3, v), "cap", 2),
+    "colon_and_socle_dims-top": (
+        lambda v: colon_and_socle_dims(lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6))), v),
+        "top",
+        -1,
+    ),
     "construct_plateau_level-d": (lambda v: construct_plateau_level(v, 4), "d", 1),
     "construct_plateau_level-ell": (lambda v: construct_plateau_level(4, v), "ell", 2),
     "lex_betti_window-d": (
