@@ -14,7 +14,6 @@ from .binomials import (
     BinomialExpansion,
     binomial,
     green_bound,
-    green_macaulay_defect,
     macaulay_bound,
     macaulay_expansion,
     shift,
@@ -25,7 +24,6 @@ from .monomials import (
     MonomialIdeal,
     lex_segment_ideal,
     quotient_hf,
-    restricted_hf,
     socle_dims,
 )
 from .betti import (
@@ -60,7 +58,6 @@ __all__ = [
     "ek_betti",
     "enumerate_o_sequences",
     "green_bound",
-    "green_macaulay_defect",
     "growth_violation",
     "iarrobino_lift",
     "lex_betti",
@@ -72,7 +69,6 @@ __all__ = [
     "quotient_hf",
     "render_diagram",
     "replay_certificate",
-    "restricted_hf",
     "shift",
     "socle_dims",
     "verify_lex",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import oracle
 from .binomials import green_bound, macaulay_bound, macaulay_expansion
 from .errors import ConsistencyError, _integer
-from .hvectors import HVector, require_codim3
+from .hvectors import HVector, _hvector, require_codim3
 from .monomials import MonomialIdeal, lex_segment_ideal, quotient_hf, socle_dims
 
 Columns = tuple[list[int], list[int], list[int]]
@@ -70,9 +70,10 @@ def lex_betti(h: HVector) -> Columns:
     generator total negative, so the x1x2 or the x3 count with it.  On any
     failure ``require_codim3`` runs and raises its message for an invalid h;
     for a valid h a negative count can only mean a wrong bound, and raises
-    ValueError rather than return a negative Betti number.
+    ValueError rather than return a negative Betti number.  Anything but an
+    HVector raises ValueError naming its type.
     """
-    padded = h.entries + (0,)
+    padded = _hvector(h).entries + (0,)
     if padded[0] != 1 or len(padded) < 3 or padded[1] != 3:
         require_codim3(h)  # raises: h_0 or h_1 is at fault
     size = len(padded) + 2

@@ -102,12 +102,3 @@ def green_bound(h: int, d: int) -> int:
     :func:`macaulay_bound` does, with the same cache hits.
     """
     return shift(macaulay_expansion(h, d), -1, 0)
-
-
-def green_macaulay_defect(c: int, d: int) -> int:
-    """green_bound(c, d) - macaulay_bound(c, d) + c.
-
-    Vanishes identically on the range d < c < C(d+2, 2); outside it the value
-    is still defined but carries no guarantee.
-    """
-    return green_bound(c, d) - macaulay_bound(c, d) + c

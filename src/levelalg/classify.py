@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .binomials import binomial, green_bound, macaulay_bound
 from .hvectors import HVector, growth_violation, require_codim3
@@ -56,38 +56,27 @@ UNKNOWN = "Unknown"
 class Certificate:
     """A fired rule, its position d, and the integers it compared.
 
-    ``quantities`` is a read-only view of a private copy, so a certificate
-    cannot change after it is made.  Pickling and ``copy.deepcopy`` go
-    through a plain dict; ``dataclasses.asdict`` cannot copy the view, so
-    use :meth:`as_dict` instead.
+    ``quantities`` is a mapping or (name, value) pairs, as :func:`classify`
+    passes ``zip(RULES[rule], values)``.  The certificate keeps a read-only
+    view of its own dict, so it cannot change after it is made.  Pickling
+    and ``copy.deepcopy`` go through a plain dict; ``dataclasses.asdict``
+    cannot copy the view, so use :meth:`as_dict` instead.
     """
 
     rule: str
     d: int
     quantities: Mapping[str, int]
 
-    def __init__(self, rule: str, d: int, quantities: Mapping[str, int]):
+    def __init__(
+        self, rule: str, d: int, quantities: Mapping[str, int] | Iterable[tuple[str, int]]
+    ):
         # One write per field: the generated __init__ followed by a
-        # __post_init__ rewrite made each certificate about 0.4 us dearer,
-        # which a classify-only sweep pays on every vector.
+        # __post_init__ rewrite made each certificate about 0.25 us dearer,
+        # which a classify-only sweep pays on every fired rule.
         _set = object.__setattr__
         _set(self, "rule", rule)
         _set(self, "d", d)
         _set(self, "quantities", MappingProxyType(dict(quantities)))
-
-    @classmethod
-    def _adopt(cls, rule: str, d: int, values: tuple[int, ...]) -> "Certificate":
-        """The certificate of a table rule, its values paired with ``RULES[rule]``.
-
-        For :func:`classify`: the pairing builds a fresh dict, so the public
-        constructor's copy is skipped.
-        """
-        cert = cls.__new__(cls)
-        _set = object.__setattr__
-        _set(cert, "rule", rule)
-        _set(cert, "d", d)
-        _set(cert, "quantities", MappingProxyType(dict(zip(RULES[rule], values))))
-        return cert
 
     def __reduce__(self):
         return (Certificate, (self.rule, self.d, dict(self.quantities)))
@@ -115,7 +104,9 @@ def replay_certificate(cert: Certificate) -> bool:
     exactly the rule's: ``RULES[rule]``, or ``delta_0`` .. ``delta_{n-1}``
     for R-LEVEL-DIFF.  Their order does not matter, so a certificate read
     back from sorted JSON replays too.  Then a non-integer ``d`` or quantity
-    raises ValueError naming it; True counts as 1.
+    raises ValueError naming it; True counts as 1.  ``bound`` must be 3d+2
+    for R-44A and 2d+3 for R-AS, and R-LEVEL-DIFF's ``d`` its last delta
+    index, the socle degree; otherwise the replay is False.
     """
     q = cert.quantities
     if cert.rule == R_LEVEL_DIFF:
@@ -154,11 +145,11 @@ def replay_certificate(cert: Certificate) -> bool:
             and q["green_hd1"] <= 2 * q["delta_hd1"]
         )
     if cert.rule == R_44A:
-        return q["delta_hd"] == 0 and q["delta_hd1"] > 0 and q["h_d"] <= q["bound"]
+        return q["delta_hd"] == 0 < q["delta_hd1"] and q["h_d"] <= q["bound"] == 3 * d + 2
     if cert.rule == R_AS:
-        return q["delta_hd"] < 0 and q["delta_hd1"] == 0 and q["h_d"] <= q["bound"]
+        return q["delta_hd"] < 0 == q["delta_hd1"] and q["h_d"] <= q["bound"] == 2 * d + 3
     if cert.rule == R_LEVEL_DIFF:
-        return growth_violation([q[name] for name in names]) is None
+        return d == len(names) - 1 and growth_violation([q[n] for n in names]) is None
 
 
 def classify(h: HVector) -> Verdict:
@@ -181,7 +172,10 @@ def classify(h: HVector) -> Verdict:
         raise ValueError("classification requires socle degree at least 2")
 
     fired: list[Certificate] = []
-    adopt = Certificate._adopt
+
+    def fire(rule: str, d: int, *values: int) -> None:
+        fired.append(Certificate(rule, d, zip(RULES[rule], values)))
+
     # Delta h = (1, 2, h_2 - 3, ...) is an O-sequence: h_2 <= 6 caps its
     # degree-2 entry, and the loop checks each later step
     differentiable = e[2] >= 3
@@ -193,24 +187,24 @@ def classify(h: HVector) -> Verdict:
             differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
 
         if beta2 > beta1:
-            fired.append(adopt(R_CANCEL, d, (beta1, beta2)))
+            fire(R_CANCEL, d, beta1, beta2)
         elif beta1 == beta2 > 0:
             if beta2_next > 0:
-                fired.append(adopt(R_31, d, (beta1, beta2, beta2_next)))
+                fire(R_31, d, beta1, beta2, beta2_next)
             increasing = h_dm1 < h_d < h_dp1
             if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
-                fired.append(adopt(R_33, d, (beta1, beta2, h_dm1, h_d, h_dp1)))
+                fire(R_33, d, beta1, beta2, h_dm1, h_d, h_dp1)
             if increasing and delta_hd != delta_hd1:
-                fired.append(adopt(R_37, d, (beta1, beta2, delta_hd, delta_hd1)))
+                fire(R_37, d, beta1, beta2, delta_hd, delta_hd1)
         if h_dm1 == h_d < h_dp1:
             green_next = green_bound(h_dp1, d + 1)
             if green_next <= 2 * delta_hd1:
-                fired.append(adopt(R_42, d, (delta_hd, delta_hd1, green_next)))
+                fire(R_42, d, delta_hd, delta_hd1, green_next)
         if d + 1 == s:
             if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
-                fired.append(adopt(R_44A, d, (delta_hd, delta_hd1, h_d, 3 * d + 2)))
+                fire(R_44A, d, delta_hd, delta_hd1, h_d, 3 * d + 2)
             if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
-                fired.append(adopt(R_AS, d, (delta_hd, delta_hd1, h_d, 2 * d + 3)))
+                fire(R_AS, d, delta_hd, delta_hd1, h_d, 2 * d + 3)
 
     if fired:
         return Verdict(NOT_LEVEL, tuple(fired))

@@ -35,7 +35,7 @@ class HVector:
     strings raise ValueError rather than being truncated or parsed.  Trailing
     zeros are trimmed on construction, so the socle degree is always the last
     index.  Construction does not require the sequence to be an O-sequence;
-    use :meth:`o_sequence_violation` / :meth:`is_o_sequence`.
+    use :func:`growth_violation` or, with h_1 = 3, :func:`require_codim3`.
     """
 
     entries: tuple[int, ...]
@@ -79,12 +79,6 @@ class HVector:
             self.entries[i] - self.entries[i - 1] for i in range(1, len(self.entries))
         )
 
-    def o_sequence_violation(self) -> Optional[int]:
-        return growth_violation(self.entries)
-
-    def is_o_sequence(self) -> bool:
-        return self.o_sequence_violation() is None
-
     def is_differentiable(self) -> bool:
         """True when the first difference is itself an O-sequence."""
         return growth_violation(self.first_difference()) is None
@@ -102,13 +96,20 @@ class HVector:
         return ",".join(str(e) for e in self.entries)
 
 
+def _hvector(h) -> HVector:
+    """h itself; ValueError naming its type unless it is an HVector."""
+    if not isinstance(h, HVector):
+        raise ValueError(f"h must be an HVector, got {type(h).__name__}")
+    return h
+
+
 def lowest_violation(h: HVector) -> Optional[int]:
     """Lowest index at which h fails to be an O-sequence with h_1 = 3, or None.
 
     0 when h_0 != 1, 1 when h_1 is missing or not 3, else the first growth
-    violation of :func:`growth_violation`.
+    violation of :func:`growth_violation`.  Anything but an HVector raises ValueError.
     """
-    e = h.entries
+    e = _hvector(h).entries
     if e[0] != 1:
         return 0
     if len(e) < 2 or e[1] != 3:

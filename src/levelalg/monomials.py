@@ -22,7 +22,7 @@ are built at construction up to the top generator degree, and lazily beyond.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .binomials import binomial
 from .errors import _integer
@@ -103,7 +103,6 @@ class MonomialIdeal:
         self._generators = tuple(m for ms in by_degree.values() for m in ms)
         self._gens_by_degree = by_degree
         self._member = rows
-        self._stable: Optional[bool] = None
 
     def generators(self) -> tuple[Monomial, ...]:
         """All minimal generators, by ascending degree then descending lex."""
@@ -134,12 +133,10 @@ class MonomialIdeal:
         x3 -> x2 and x3 -> x1 at ranks r - 1 and r - tail - 1 when e3 > 0,
         x2 -> x1 at rank r - tail when e3 = 0 < e2.
         """
-        if self._stable is None:
-            self._stable = all(
-                self._exchanges_are_members(d, gens)
-                for d, gens in self._gens_by_degree.items()
-            )
-        return self._stable
+        return all(
+            self._exchanges_are_members(d, gens)
+            for d, gens in self._gens_by_degree.items()
+        )
 
     def _exchanges_are_members(self, d: int, gens: tuple[Monomial, ...]) -> bool:
         """Whether the degree-d row holds every exchange of the degree-d
@@ -166,11 +163,6 @@ class MonomialIdeal:
         while self._ensure_tables(t) != (1 << monomial_count(t)) - 1:
             t += 1
         return t
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self._gens_by_degree == other._gens_by_degree
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({', '.join(str(m) for m in self.generators())})"
@@ -238,20 +230,6 @@ def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
         monomial_count(t) - ideal._ensure_tables(t).bit_count()
         for t in range(_integer(through, "degree", 0) + 1)
     )
-
-
-def restricted_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
-    """Hilbert function of the quotient by the ideal plus (x3), degrees 0..through.
-
-    Counts the monomials in x1, x2 only that stay out of the ideal; the one
-    x1^a * x2^k of degree a + k has rank T(k).
-    """
-    out = []
-    corners = 0  # bits T(0), ..., T(t)
-    for t in range(_integer(through, "degree", 0) + 1):
-        corners |= 1 << (t * (t + 1) // 2)
-        out.append(t + 1 - (ideal._ensure_tables(t) & corners).bit_count())
-    return tuple(out)
 
 
 def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:

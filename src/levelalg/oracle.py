@@ -18,7 +18,7 @@ from math import comb
 
 from .binomials import BinomialExpansion
 from .errors import _integer
-from .hvectors import HVector
+from .hvectors import HVector, growth_violation
 from .monomials import MonomialIdeal
 
 
@@ -137,6 +137,6 @@ def osequence_filter(s: int, cap: int) -> set[HVector]:
     found = set()
     for tail in product(range(cap + 1), repeat=s - 1):
         candidate = HVector((1, 3) + tail)
-        if candidate.socle_degree == s and candidate.is_o_sequence():
+        if candidate.socle_degree == s and growth_violation(candidate.entries) is None:
             found.add(candidate)
     return found

@@ -10,6 +10,7 @@ from levelalg import (
     Monomial,
     MonomialIdeal,
     green_bound,
+    growth_violation,
     macaulay_bound,
 )
 from levelalg.monomials import lex_rank, monomial_count
@@ -150,8 +151,9 @@ def contains(ideal, m):
 
 
 def restricted_hf_by_monomials(ideal, through):
-    """Reference restricted_hf: builds each x1^a * x2^(t-a) as a Monomial and
-    reads its membership at its lex_rank."""
+    """Hilbert function of the quotient by the ideal plus (x3), degrees
+    0..through: builds each x1^a * x2^(t-a) as a Monomial and reads its
+    membership at its lex_rank."""
     out = []
     for t in range(through + 1):
         members = members_of_degree(ideal, t)
@@ -173,11 +175,11 @@ def reduction_number_r1_lex(h):
     """First degree after which the lex quotient restricted to x3 = 0 vanishes.
 
     Computed as min{l : green_bound(h_{l+1}, l+1) = 0}, which for the
-    lex-segment ideal agrees with scanning ``restricted_hf``.  This is an
+    lex-segment ideal agrees with scanning ``restricted_hf_by_monomials``.  This is an
     invariant of the lex ideal specifically: other ideals with the same
     Hilbert function can have a smaller reduction number.
     """
-    if not h.is_o_sequence():
+    if growth_violation(h.entries) is not None:
         raise ValueError(f"{h} is not an O-sequence")
     level = 0
     while green_bound(h.at(level + 1), level + 1) > 0:

@@ -17,12 +17,11 @@ from levelalg import (
     ek_betti,
     enumerate_o_sequences,
     green_bound,
-    green_macaulay_defect,
     lex_betti_window,
     lex_segment_ideal,
+    macaulay_bound,
     macaulay_expansion,
     numerator_check,
-    restricted_hf,
     socle_dims,
 )
 from levelalg.oracle import expansion_exhaustive, osequence_filter
@@ -33,6 +32,7 @@ from _support import (
     betti_dict,
     random_o_sequence,
     random_stable_ideal,
+    restricted_hf_by_monomials,
 )
 
 CORPUS_SEED = 20260810
@@ -118,7 +118,7 @@ def test_criterion_05_closed_form_equals_direct(o_corpus):
 
 def test_criterion_06_green_equals_restriction(o_corpus):
     for h, ideal, _ in o_corpus:
-        restricted = restricted_hf(ideal, h.socle_degree + 1)
+        restricted = restricted_hf_by_monomials(ideal, h.socle_degree + 1)
         for t in range(1, h.socle_degree + 2):
             assert restricted[t] == green_bound(h.at(t), t), (h, t)
     print("criterion 6 (Green bound == lex restriction): PASS")
@@ -147,7 +147,7 @@ def test_criterion_09_bound_defect_vanishes():
     cases = 0
     for d in range(1, 26):
         for c in range(d + 1, binomial(d + 2, 2)):
-            assert green_macaulay_defect(c, d) == 0, (c, d)
+            assert green_bound(c, d) - macaulay_bound(c, d) + c == 0, (c, d)
             cases += 1
     assert cases > 2000
     print(f"criterion 9 (bound defect vanishes, {cases} cases): PASS")

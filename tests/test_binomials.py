@@ -6,7 +6,6 @@ from levelalg import (
     BinomialExpansion,
     binomial,
     green_bound,
-    green_macaulay_defect,
     macaulay_bound,
     macaulay_expansion,
     shift,
@@ -78,10 +77,9 @@ def test_green_bound_examples():
 
 
 def test_defect_examples():
-    assert green_macaulay_defect(16, 6) == 0
-    assert green_macaulay_defect(5, 4) == 0
-    # outside the guaranteed range d < c the formula still evaluates
-    assert green_macaulay_defect(1, 1) == green_bound(1, 1) - macaulay_bound(1, 1) + 1
+    # green_bound(c, d) - macaulay_bound(c, d) + c vanishes for d < c < C(d+2, 2)
+    assert green_bound(16, 6) - macaulay_bound(16, 6) + 16 == 0
+    assert green_bound(5, 4) - macaulay_bound(5, 4) + 5 == 0
 
 
 def test_round_trip_small_exhaustive():
@@ -126,4 +124,4 @@ def test_green_vanishes_exactly_up_to_d():
 def test_defect_vanishes_on_guaranteed_range_small():
     for d in range(1, 11):
         for c in range(d + 1, binomial(d + 2, 2)):
-            assert green_macaulay_defect(c, d) == 0, (c, d)
+            assert green_bound(c, d) - macaulay_bound(c, d) + c == 0, (c, d)

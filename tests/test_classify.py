@@ -35,6 +35,7 @@ from levelalg.classify import (
     R_37,
     R_42,
     R_44A,
+    R_AS,
     R_CANCEL,
     R_LEVEL_DIFF,
     RULES,
@@ -155,6 +156,29 @@ def test_replay_detects_tampering():
 
 
 @pytest.mark.parametrize(
+    "rule, d, quantities",
+    [
+        # h_d and bound far above any cap at d = 5 (3d+2 = 17, 2d+3 = 13)
+        (R_44A, 5, {"delta_hd": 0, "delta_hd1": 1, "h_d": 10**6, "bound": 10**7}),
+        (R_AS, 5, {"delta_hd": -1, "delta_hd1": 0, "h_d": 10**6, "bound": 10**7}),
+        # a differentiable (1, 2) whose d is not its socle degree 1
+        (R_LEVEL_DIFF, 99, {"delta_0": 1, "delta_1": 2}),
+    ],
+    ids=["R-44A-bound", "R-AS-bound", "R-LEVEL-DIFF-d"],
+)
+def test_replay_rejects_quantities_d_does_not_fix(rule, d, quantities):
+    # d fixes R-44A's and R-AS's bound and R-LEVEL-DIFF's socle degree, so
+    # a certificate that breaks that relation proves nothing
+    assert not replay_certificate(Certificate(rule, d, quantities))
+    if rule == R_LEVEL_DIFF:
+        honest = Certificate(rule, len(quantities) - 1, quantities)
+    else:
+        bound = 3 * d + 2 if rule == R_44A else 2 * d + 3
+        honest = Certificate(rule, d, {**quantities, "h_d": bound, "bound": bound})
+    assert replay_certificate(honest)
+
+
+@pytest.mark.parametrize(
     "rule, quantities",
     [
         (R_31, {"beta1_d2": 2, "beta2_d2": 2}),
@@ -196,16 +220,31 @@ def test_every_certificate_replays_under_its_rule_names(h):
         assert replay_certificate(cert), cert
 
 
+def _backing(cert):
+    """The dict behind a certificate's read-only quantities view."""
+    (mapping,) = gc.get_referents(cert.quantities)
+    return mapping
+
+
 def test_certificate_quantities_are_read_only():
+    # a mapping, and (name, value) pairs: the zip classify passes, and a
+    # list whose pairs can still change afterwards
     source = {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": 1}
-    cert = Certificate(R_31, 5, source)
-    with pytest.raises(TypeError):
-        cert.quantities["beta2_d3"] = 0
-    with pytest.raises(TypeError):
-        del cert.quantities["beta1_d2"]
-    source["beta2_d3"] = 0  # the certificate holds its own copy
-    assert cert.quantities == {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": 1}
-    assert replay_certificate(cert)
+    pairs = [["beta1_d2", 2], ["beta2_d2", 2], ["beta2_d3", 1]]
+    certs = [
+        Certificate(R_31, 5, quantities)
+        for quantities in (source, zip(RULES[R_31], (2, 2, 1)), pairs)
+    ]
+    source["beta2_d3"] = 0  # each certificate holds its own copy
+    pairs[2][1] = 0
+    for cert in certs:
+        with pytest.raises(TypeError):
+            cert.quantities["beta2_d3"] = 0
+        with pytest.raises(TypeError):
+            del cert.quantities["beta1_d2"]
+        assert type(_backing(cert)) is dict and _backing(cert) is not source
+        assert cert.quantities == {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": 1}
+        assert replay_certificate(cert)
     verdict = classify(HVector((1, 3, 6, 10, 15, 16, 18)))
     for cert in verdict.certificates:
         with pytest.raises(TypeError):
@@ -228,12 +267,6 @@ def test_certificates_pickle_and_copy_through_plain_dicts():
             assert replay_certificate(cert)
             with pytest.raises(TypeError):
                 cert.quantities["d"] = 0
-
-
-def _backing(cert):
-    """The dict behind a certificate's read-only quantities view."""
-    (mapping,) = gc.get_referents(cert.quantities)
-    return mapping
 
 
 def test_classify_certificates_own_their_quantities():

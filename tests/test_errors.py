@@ -1,9 +1,10 @@
-"""Every integer argument passes the one check in :mod:`levelalg.errors`.
+"""Every integer argument passes the one check in :mod:`levelalg.errors`,
+and every h-vector argument the one type check in :mod:`levelalg.hvectors`.
 
-A bad value raises ValueError naming the argument; no entry point raises
-TypeError or RecursionError for it or returns an answer.  The degree readers
-of :mod:`levelalg.monomials` are covered by
-``test_monomials.py::test_degree_readers_reject_bad_degrees``.
+A bad value raises ValueError naming the argument, or for an h-vector its
+type; no entry point raises TypeError, AttributeError or RecursionError for
+it or returns an answer.  The degree readers of :mod:`levelalg.monomials`
+are covered by ``test_monomials.py::test_degree_readers_reject_bad_degrees``.
 """
 
 import pytest
@@ -11,16 +12,21 @@ import pytest
 from levelalg import (
     Certificate,
     HVector,
+    classify,
     construct_plateau_level,
     enumerate_o_sequences,
     green_bound,
+    iarrobino_lift,
+    lex_betti,
     lex_betti_window,
     lex_segment_ideal,
     macaulay_bound,
     macaulay_expansion,
     replay_certificate,
+    verify_lex,
 )
 from levelalg.classify import R_31, R_44A, R_CANCEL
+from levelalg.hvectors import require_codim3
 from levelalg.oracle import colon_and_socle_dims, expansion_exhaustive, osequence_filter
 
 
@@ -105,3 +111,29 @@ def test_replay_counts_true_as_one():
     assert replay_certificate(
         Certificate(R_31, 5, {"beta1_d2": 2, "beta2_d2": 2, "beta2_d3": True})
     )
+
+
+# entry points that take an h-vector; each is valid for HVector((1, 3, 6))
+HVECTOR_ENTRIES = {
+    "classify": classify,
+    "lex_betti": lex_betti,
+    "lex_betti_window": lambda h: lex_betti_window(h, 2),
+    "lex_segment_ideal": lex_segment_ideal,
+    "verify_lex": verify_lex,
+    "iarrobino_lift": iarrobino_lift,
+    "require_codim3": require_codim3,
+}
+
+
+@pytest.mark.parametrize(
+    "bad, type_name",
+    [((1, 3, 6), "tuple"), ([1, 3, 6], "list"), (None, "NoneType")],
+    ids=["tuple", "list", "None"],
+)
+@pytest.mark.parametrize("entry", list(HVECTOR_ENTRIES))
+def test_hvector_arguments_reject_other_types(entry, bad, type_name):
+    # unchecked, each fails later with "object has no attribute 'entries'"
+    call = HVECTOR_ENTRIES[entry]
+    call(HVector((1, 3, 6)))
+    with pytest.raises(ValueError, match=rf"^h must be an HVector, got {type_name}$"):
+        call(bad)

@@ -91,7 +91,7 @@ def test_at_reads_zero_beyond_socle():
     ],
 )
 def test_o_sequence_violations(entries, violation):
-    assert HVector(entries).o_sequence_violation() == violation
+    assert growth_violation(HVector(entries).entries) == violation
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ def test_enumerate_agrees_with_filter_oracle():
 def test_enumerate_is_sorted_and_valid():
     veced = [h.entries for h in enumerate_o_sequences(4, 8)]
     assert veced == sorted(veced)
-    assert all(HVector(v).is_o_sequence() for v in veced)
+    assert all(growth_violation(v) is None for v in veced)
     assert all(v[-1] > 0 and len(v) == 5 for v in veced)
 
 
