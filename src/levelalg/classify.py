@@ -78,6 +78,11 @@ class Certificate:
         _set(self, "d", d)
         _set(self, "quantities", MappingProxyType(dict(quantities)))
 
+    def __hash__(self):
+        # as == does, ignore the order of the quantities; the view itself
+        # cannot be hashed
+        return hash((self.rule, self.d, frozenset(self.quantities.items())))
+
     def __reduce__(self):
         return (Certificate, (self.rule, self.d, dict(self.quantities)))
 

@@ -7,6 +7,13 @@ check is the library's, whose ValueError message is printed as is.  Exit
 codes: 0 on success, 2 when argv does not parse, 3 when the library refuses
 a value (an invalid h-vector or an out-of-range number), 1 when an internal
 cross-check disagrees.
+
+Each ``_cmd_*`` handler prints nothing and returns ``(exit code, JSON
+document, text)``; :func:`run` alone prints, the document under ``--json``
+and otherwise the text when it is not empty.  Only the ``enumerate`` listing
+prints as it goes, so that a sweep is never held whole; its document is
+``None``.  A handler that fails raises, and :func:`run` prints the message
+to stderr and maps ``ValueError`` to 3 and ``ConsistencyError`` to 1.
 """
 
 from __future__ import annotations
@@ -93,148 +100,96 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    elif text:
-        print(text)
-
-
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple:
     expansion = macaulay_expansion(args.n, args.i)
-    up = macaulay_bound(args.n, args.i)
-    green = green_bound(args.n, args.i)
-    if args.up:
-        text = str(up)
-    elif args.green:
-        text = str(green)
-    else:
-        text = str(expansion)
-    payload = {
+    document = {
         "n": args.n,
         "i": args.i,
         "expansion": str(expansion),
         "terms": [list(term) for term in expansion.terms],
-        "up": up,
-        "green": green,
+        "up": macaulay_bound(args.n, args.i),
+        "green": green_bound(args.n, args.i),
     }
-    _emit(payload, args.json, text)
-    return EXIT_OK
+    shown = "up" if args.up else "green" if args.green else "expansion"
+    return EXIT_OK, document, str(document[shown])
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     h = args.hvector
     try:
         require_codim3(h)
     except ValueError as refusal:
         # the text every other subcommand prints to stderr, on stdout
         index = lowest_violation(h)
-        payload = {"hvector": list(h), "ok": False, "index": index}
+        document = {"hvector": list(h), "ok": False, "index": index}
         if index >= 2:
-            payload["max"] = macaulay_bound(h[index - 1], index - 1)
-        _emit(payload, args.json, str(refusal))
-        return EXIT_REFUSED
-    _emit({"hvector": list(h), "ok": True}, args.json, "" if args.quiet else "ok")
-    return EXIT_OK
+            document["max"] = macaulay_bound(h[index - 1], index - 1)
+        return EXIT_REFUSED, document, str(refusal)
+    return EXIT_OK, {"hvector": list(h), "ok": True}, "" if args.quiet else "ok"
 
 
-def _cmd_lex(args) -> int:
+def _cmd_lex(args) -> tuple:
     ideal = lex_segment_ideal(args.hvector)
     degrees = ideal.generator_degrees()
     if args.degree is not None:
         # generators_of_degree checks the degree
         degrees = (args.degree,) if ideal.generators_of_degree(args.degree) else ()
-    payload = {
-        "hvector": list(args.hvector),
-        "generators": [
-            {"degree": d, "monomials": [str(m) for m in ideal.generators_of_degree(d)]}
-            for d in degrees
-        ],
-    }
-    lines = [
-        f"deg {d}: " + ", ".join(str(m) for m in ideal.generators_of_degree(d))
+    generators = [
+        {"degree": d, "monomials": [str(m) for m in ideal.generators_of_degree(d)]}
         for d in degrees
     ]
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK
+    text = "\n".join(f"deg {g['degree']}: " + ", ".join(g["monomials"]) for g in generators)
+    return EXIT_OK, {"hvector": list(args.hvector), "generators": generators}, text
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args) -> tuple:
     if args.window is not None:
-        d = args.window
-        beta1, beta2, beta2_next = lex_betti_window(args.hvector, d)
-        payload = {
-            "hvector": list(args.hvector),
-            "d": d,
-            "beta1_d2": beta1,
-            "beta2_d2": beta2,
-            "beta2_d3": beta2_next,
-        }
-        text = f"beta1_d2={beta1} beta2_d2={beta2} beta2_d3={beta2_next}"
-        _emit(payload, args.json, text)
-        return EXIT_OK
+        window = lex_betti_window(args.hvector, args.window)
+        betas = dict(zip(("beta1_d2", "beta2_d2", "beta2_d3"), window))
+        document = {"hvector": list(args.hvector), "d": args.window, **betas}
+        return EXIT_OK, document, " ".join(f"{k}={v}" for k, v in betas.items())
     columns = lex_betti(args.hvector)
-    if args.json:
-        triples = [
-            {"q": q, "shift": j, "mult": mult}
-            for q, column in enumerate(columns)
-            for j, mult in enumerate(column)
-            if mult
-        ]
-        print(json.dumps(triples, sort_keys=True))
-    else:
-        print(render_diagram(columns))
-    return EXIT_OK
+    triples = [
+        {"q": q, "shift": j, "mult": mult}
+        for q, column in enumerate(columns)
+        for j, mult in enumerate(column)
+        if mult
+    ]
+    return EXIT_OK, triples, render_diagram(columns)
 
 
-def _certificate_text(cert) -> str:
-    quantities = " ".join(f"{k}={v}" for k, v in cert.quantities.items())
-    return f"  {cert.rule} at d={cert.d}: {quantities}"
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     verdict = classify(args.hvector)
     if args.verify:
         verify_lex(args.hvector)
-    payload = {"hvector": list(args.hvector), **verdict.as_dict()}
-    if args.quiet:
-        text = verdict.kind
-    else:
-        lines = [verdict.kind]
-        lines.extend(_certificate_text(c) for c in verdict.certificates)
-        text = "\n".join(lines)
-    _emit(payload, args.json, text)
-    return EXIT_OK
+    document = {"hvector": list(args.hvector), **verdict.as_dict()}
+    lines = [verdict.kind]
+    if not args.quiet:
+        for cert in verdict.certificates:
+            quantities = " ".join(f"{k}={v}" for k, v in cert.quantities.items())
+            lines.append(f"  {cert.rule} at d={cert.d}: {quantities}")
+    return EXIT_OK, document, "\n".join(lines)
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple:
     if args.method == "iarrobino":
-        lifted = iarrobino_lift(args.base)
-        payload = {
-            "base": list(args.base),
-            "hvector": list(lifted),
-            "asserted_level": True,
-        }
-        _emit(payload, args.json, str(lifted))
-        return EXIT_OK
-    base, lifted = construct_plateau_level(args.d, args.ell)
-    payload = {
-        "d": args.d,
-        "ell": args.ell,
-        "base": list(base),
-        "hvector": list(lifted),
-        "asserted_level": True,
-    }
-    _emit(payload, args.json, f"base: {base}\nlift: {lifted}")
-    return EXIT_OK
+        base, lifted = args.base, iarrobino_lift(args.base)
+        document = {}
+        text = str(lifted)
+    else:
+        base, lifted = construct_plateau_level(args.d, args.ell)
+        document = {"d": args.d, "ell": args.ell}
+        text = f"base: {base}\nlift: {lifted}"
+    document.update(base=list(base), hvector=list(lifted), asserted_level=True)
+    return EXIT_OK, document, text
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple:
     stream = enumerate_o_sequences(args.socle, args.cap)
     if not args.stats:
         for h in stream:
             print(json.dumps(list(h)) if args.json else str(h))
-        return EXIT_OK
+        return EXIT_OK, None, ""
     tally = dict.fromkeys((LEVEL, NOT_LEVEL, UNKNOWN), 0)
     rule_counts = dict.fromkeys(NOT_LEVEL_RULES + (R_LEVEL_DIFF,), 0)
     total = 0
@@ -244,12 +199,11 @@ def _cmd_enumerate(args) -> int:
         tally[verdict.kind] += 1
         for cert in verdict.certificates:
             rule_counts[cert.rule] += 1
-    payload = {"total": total, "verdicts": tally, "rules": rule_counts}
+    document = {"total": total, "verdicts": tally, "rules": rule_counts}
     lines = [f"total: {total}"]
     for counts in (tally, rule_counts):
         lines.extend(f"{key}: {n}" for key, n in counts.items())
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, document, "\n".join(lines)
 
 
 _HANDLERS = {
@@ -283,16 +237,29 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        code, document, text = _HANDLERS[args.command](args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_REFUSED
+    if args.json and document is not None:
+        print(json.dumps(document, sort_keys=True))
+    elif text:
+        print(text)
+    return code
 
 
 def main() -> None:
+    # imported here, not at module level: run() and its in-process callers
+    # never need it
+    import signal
+
+    # a closed stdout (`levelalg enumerate ... | head`) ends the process
+    # quietly, as it does other Unix filters, instead of with a traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -269,6 +269,26 @@ def test_certificates_pickle_and_copy_through_plain_dicts():
                 cert.quantities["d"] = 0
 
 
+def test_equal_certificates_hash_equal():
+    # == ignores the order of the quantities, so the hash must too: a
+    # certificate rebuilt from sorted JSON, or a pickle clone, is the same
+    # set member as the original
+    verdicts = [classify(HVector(e)) for e in NOT_LEVEL_VECTORS + LEVEL_VECTORS]
+    reordered = 0
+    for verdict in verdicts:
+        for cert in verdict.certificates:
+            from_json = Certificate(**json.loads(json.dumps(cert.as_dict(), sort_keys=True)))
+            reordered += list(from_json.quantities) != list(cert.quantities)
+            for twin in (from_json, pickle.loads(pickle.dumps(cert))):
+                assert twin == cert and hash(twin) == hash(cert)
+        assert len({verdict, pickle.loads(pickle.dumps(verdict))}) == 1
+    assert reordered
+    pairs = [("beta1_d2", 2), ("beta2_d2", 2), ("beta2_d3", 1)]
+    forward, backward = Certificate(R_31, 5, pairs), Certificate(R_31, 5, pairs[::-1])
+    assert forward == backward and hash(forward) == hash(backward)
+    assert len({forward, backward, Certificate(R_31, 6, pairs)}) == 2
+
+
 def test_classify_certificates_own_their_quantities():
     vectors = [HVector(e) for e in NOT_LEVEL_VECTORS + LEVEL_VECTORS]
     verdicts = [classify(h) for h in vectors] + [classify(h) for h in vectors]

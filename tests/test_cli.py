@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 from levelalg import HVector, betti, cli, ek_betti, oracle
 from levelalg.cli import run
 from levelalg.hvectors import lowest_violation
+
+from cli_corpus import digest
 
 
 def test_expand_default(capsys):
@@ -527,3 +530,29 @@ def test_classify_verification_catches_wrong_expansion(capsys, monkeypatch, entr
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expansion mismatch" in captured.err
+
+
+def test_cli_corpus_bytes_unchanged():
+    # sha256 over (argv, exit code, stdout, stderr) of every invocation in
+    # cli_corpus, recorded before the handlers returned their output to run:
+    # any changed byte of any subcommand's output moves it
+    assert digest() == (
+        "b9e694cd7f2a07a3c0a8f8e2838d562a8b39645a3dd8e5dcd8421a570800ab7a",
+        10514,
+    )
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_the_command_quietly():
+    # as `levelalg enumerate ... | head -1` does; the listing at socle 7 is
+    # several times a pipe buffer, so the command is still writing when the
+    # reader goes away
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "levelalg.cli", "enumerate", "--socle", "7", "--cap", "20"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"1,3,1,1,1,1,1,1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
