@@ -30,7 +30,6 @@ from .betti import (
     ek_betti,
     lex_betti,
     lex_betti_window,
-    numerator_check,
     render_diagram,
     verify_lex,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "lex_segment_ideal",
     "macaulay_bound",
     "macaulay_expansion",
-    "numerator_check",
     "quotient_hf",
     "render_diagram",
     "replay_certificate",

@@ -12,8 +12,8 @@ counts by degree and largest variable follow from h alone, through the
 Macaulay and Green bounds, so :func:`lex_betti` never builds the ideal.
 :func:`ek_betti` resolves an explicit ideal and, applied to
 :func:`~levelalg.monomials.lex_segment_ideal`, is the slow twin that
-verifies it; :func:`verify_lex` runs that check and the brute-force
-:mod:`levelalg.oracle` twins.
+verifies it; :func:`verify_lex` runs that check, the Hilbert-series
+numerator identity and the brute-force :mod:`levelalg.oracle` twins.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import oracle
 from .binomials import green_bound, macaulay_bound, macaulay_expansion
 from .errors import ConsistencyError, _integer
 from .hvectors import HVector, _hvector, require_codim3
-from .monomials import MonomialIdeal, lex_segment_ideal, quotient_hf, socle_dims
+from .monomials import MonomialIdeal, _ideal, lex_segment_ideal, quotient_hf, socle_dims
 
 Columns = tuple[list[int], list[int], list[int]]
 
@@ -35,7 +35,7 @@ def ek_betti(ideal: MonomialIdeal) -> Columns:
     (1, 2, 1) at shifts (g, g+1, g+2) by its largest variable x1, x2 or x3;
     the constant generator of the unit ideal counts as x1's.
     """
-    if not ideal.is_stable():
+    if not _ideal(ideal).is_stable():
         raise ValueError("ek_betti requires a stable ideal")
     degrees = ideal.generator_degrees()
     size = degrees[-1] + 3 if degrees else 0
@@ -111,19 +111,13 @@ def lex_betti_window(h: HVector, d: int) -> tuple[int, int, int]:
     return b1[d + 2], b2[d + 2], b2[d + 3]
 
 
-def numerator_check(ideal: MonomialIdeal) -> bool:
-    """Hilbert-series numerator identity as an independent consistency check.
+def _numerator_identity(hf: tuple[int, ...], columns: Columns) -> bool:
+    """Hilbert-series numerator identity for a Hilbert function hf, zero past
+    its last entry, and the Betti columns of the ideal.
 
     Compares 1 - beta_0(t) + beta_1(t) - beta_2(t) against (1-t)^3 times the
-    quotient Hilbert series, coefficient by coefficient.
+    Hilbert series, coefficient by coefficient.
     """
-    columns = ek_betti(ideal)
-    return _numerator_identity(quotient_hf(ideal, ideal._vanishing_degree()), columns)
-
-
-def _numerator_identity(hf: tuple[int, ...], columns: Columns) -> bool:
-    """The identity of :func:`numerator_check` for a Hilbert function hf,
-    zero past its last entry, and Betti columns the caller already holds."""
     size = max(len(hf) + 3, *map(len, columns))
     lhs = [0] * size
     lhs[0] = 1

@@ -57,10 +57,11 @@ class Certificate:
     """A fired rule, its position d, and the integers it compared.
 
     ``quantities`` is a mapping or (name, value) pairs, as :func:`classify`
-    passes ``zip(RULES[rule], values)``.  The certificate keeps a read-only
-    view of its own dict, so it cannot change after it is made.  Pickling
-    and ``copy.deepcopy`` go through a plain dict; ``dataclasses.asdict``
-    cannot copy the view, so use :meth:`as_dict` instead.
+    passes ``zip(RULES[rule], values)``; anything else raises ValueError.
+    The certificate keeps a read-only view of its own dict, so it cannot
+    change after it is made.  Pickling and ``copy.deepcopy`` go through a
+    plain dict; ``dataclasses.asdict`` cannot copy the view, so use
+    :meth:`as_dict` instead.
     """
 
     rule: str
@@ -70,13 +71,19 @@ class Certificate:
     def __init__(
         self, rule: str, d: int, quantities: Mapping[str, int] | Iterable[tuple[str, int]]
     ):
+        try:
+            quantities = MappingProxyType(dict(quantities))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"quantities must be a mapping or (name, value) pairs: {quantities!r}"
+            ) from None
         # One write per field: the generated __init__ followed by a
         # __post_init__ rewrite made each certificate about 0.25 us dearer,
         # which a classify-only sweep pays on every fired rule.
         _set = object.__setattr__
         _set(self, "rule", rule)
         _set(self, "d", d)
-        _set(self, "quantities", MappingProxyType(dict(quantities)))
+        _set(self, "quantities", quantities)
 
     def __hash__(self):
         # as == does, ignore the order of the quantities; the view itself
@@ -111,8 +118,11 @@ def replay_certificate(cert: Certificate) -> bool:
     back from sorted JSON replays too.  Then a non-integer ``d`` or quantity
     raises ValueError naming it; True counts as 1.  ``bound`` must be 3d+2
     for R-44A and 2d+3 for R-AS, and R-LEVEL-DIFF's ``d`` its last delta
-    index, the socle degree; otherwise the replay is False.
+    index, the socle degree; otherwise the replay is False.  Anything but a
+    Certificate raises ValueError naming its type.
     """
+    if not isinstance(cert, Certificate):
+        raise ValueError(f"cert must be a Certificate, got {type(cert).__name__}")
     q = cert.quantities
     if cert.rule == R_LEVEL_DIFF:
         names = [f"delta_{i}" for i in range(len(q))]

@@ -180,7 +180,7 @@ def _cmd_construct(args) -> tuple:
         base, lifted = construct_plateau_level(args.d, args.ell)
         document = {"d": args.d, "ell": args.ell}
         text = f"base: {base}\nlift: {lifted}"
-    document.update(base=list(base), hvector=list(lifted), asserted_level=True)
+    document.update(base=list(base), hvector=list(lifted))
     return EXIT_OK, document, text
 
 

@@ -50,11 +50,13 @@ class Monomial(NamedTuple):
 
 
 def _checked(m: Monomial) -> Monomial:
-    """m with its exponents checked: non-negative integers, as Monomial."""
+    """m with its exponents checked: three non-negative integers, as Monomial."""
     try:
         exponents = tuple(map(index, m))
     except TypeError:
         raise ValueError(f"monomial exponents must be integers: {m!r}") from None
+    if len(exponents) != 3:
+        raise ValueError(f"monomial exponents must be three integers: {m!r}")
     if min(exponents) < 0:
         raise ValueError(f"monomial exponents must be non-negative: {m!r}")
     return Monomial(*exponents)
@@ -81,6 +83,8 @@ class MonomialIdeal:
     """
 
     def __init__(self, generators: Iterable[Monomial]):
+        if not isinstance(generators, Iterable):
+            raise ValueError(f"generators must be iterable: {generators!r}")
         given: dict[int, int] = {}
         for m in map(_checked, generators):
             given[m.degree] = given.get(m.degree, 0) | 1 << lex_rank(m)
@@ -208,6 +212,13 @@ def _decode(bits: int, t: int) -> Iterator[Monomial]:
         bits >>= tail + 1
 
 
+def _ideal(ideal) -> MonomialIdeal:
+    """ideal itself; ValueError naming its type unless it is a MonomialIdeal."""
+    if not isinstance(ideal, MonomialIdeal):
+        raise ValueError(f"ideal must be a MonomialIdeal, got {type(ideal).__name__}")
+    return ideal
+
+
 def lex_segment_ideal(h: HVector) -> MonomialIdeal:
     """The lex-segment ideal whose quotient has Hilbert function h.
 
@@ -226,8 +237,9 @@ def lex_segment_ideal(h: HVector) -> MonomialIdeal:
 
 def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
     """Hilbert function of the quotient ring in degrees 0..through."""
+    row = _ideal(ideal)._ensure_tables
     return tuple(
-        monomial_count(t) - ideal._ensure_tables(t).bit_count()
+        monomial_count(t) - row(t).bit_count()
         for t in range(_integer(through, "degree", 0) + 1)
     )
 
@@ -239,7 +251,7 @@ def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
     x1*u, x2*u, x3*u fall inside.  Requires finite colength.
     """
     dims: dict[int, int] = {}
-    after = ideal._ensure_tables(0)
+    after = _ideal(ideal)._ensure_tables(0)
     for t in range(ideal._vanishing_degree()):
         members, after = after, ideal._ensure_tables(t + 1)
         # u of rank r in block tail has x1*u, x2*u, x3*u at ranks r,

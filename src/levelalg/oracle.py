@@ -1,25 +1,23 @@
-"""Brute-force verifiers, independent of the main computational paths.
+"""Brute-force verifiers, the slow twins that ``classify --verify`` runs.
 
-Everything here recomputes from first principles.  Ideal membership reads a
-staircase table built from the generator list alone, not the lex-rank
-tables of :mod:`levelalg.monomials`.  The x3-colon and socle counts come
-from one table up to the top degree asked for: every monomial of each degree
-is enumerated as a raw exponent triple and tested, with its multiples,
-against that table, linear in the number of monomials and with no monomial
-objects built.  Expansions are found by exhaustive search over
-index sequences rather than greedily, and O-sequences by filtering the full
-integer box; those two are slow on purpose.
+Everything here recomputes from first principles, independent of the main
+computational paths.  Ideal membership reads a staircase table built from
+the generator list alone, not the lex-rank tables of
+:mod:`levelalg.monomials`.  The x3-colon and socle counts come from one
+table up to the top degree asked for: every monomial of each degree is
+enumerated as a raw exponent triple and tested, with its multiples, against
+that table, linear in the number of monomials and with no monomial objects
+built.  Expansions are found by exhaustive search over index sequences
+rather than greedily, which is slow on purpose.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
 
 from .binomials import BinomialExpansion
 from .errors import _integer
-from .hvectors import HVector, growth_violation
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, _ideal
 
 
 def _staircase(ideal: MonomialIdeal, top: int) -> list[list[int]]:
@@ -65,7 +63,7 @@ def colon_and_socle_dims(ideal: MonomialIdeal, top: int) -> list[tuple[int, int]
     # u = (e1, e2, e3) is in J when corner[e1][e2] <= e3; x1*u, x2*u and
     # x3*u are when corner[e1 + 1][e2], corner[e1][e2 + 1] <= e3 and
     # corner[e1][e2] <= e3 + 1
-    corner = _staircase(ideal, top + 1)
+    corner = _staircase(_ideal(ideal), top + 1)
     dims = []
     for t in range(top + 1):
         colon = socle = 0
@@ -127,16 +125,3 @@ def expansion_exhaustive(n: int, i: int) -> BinomialExpansion:
         )
     return BinomialExpansion(solutions[0])
 
-
-def osequence_filter(s: int, cap: int) -> set[HVector]:
-    """All O-sequences (1, 3, ..., h_s) with entries <= cap and h_s > 0.
-
-    Generate-and-filter over the full integer box; no incremental pruning.
-    """
-    s, cap = _integer(s, "s", 1), _integer(cap, "cap", 3)
-    found = set()
-    for tail in product(range(cap + 1), repeat=s - 1):
-        candidate = HVector((1, 3) + tail)
-        if candidate.socle_degree == s and growth_violation(candidate.entries) is None:
-            found.add(candidate)
-    return found

@@ -1,6 +1,7 @@
 """Shared fixtures: reference Betti tables, seeded random generators, and
-monomial helpers that only the tests use."""
+monomial helpers and slow twins that only the tests use."""
 
+from itertools import product
 from math import comb, isqrt
 
 from hypothesis import strategies as st
@@ -9,10 +10,14 @@ from levelalg import (
     HVector,
     Monomial,
     MonomialIdeal,
+    ek_betti,
     green_bound,
     growth_violation,
     macaulay_bound,
+    quotient_hf,
 )
+from levelalg.betti import _numerator_identity
+from levelalg.errors import _integer
 from levelalg.monomials import lex_rank, monomial_count
 from levelalg.oracle import _staircase
 
@@ -161,6 +166,29 @@ def restricted_hf_by_monomials(ideal, through):
             sum(1 for a in range(t + 1) if not members[lex_rank(Monomial(a, t - a, 0))])
         )
     return tuple(out)
+
+
+def numerator_identity(ideal):
+    """The Hilbert-series numerator identity of a finite-colength ideal: its
+    quotient's whole Hilbert function against its ek_betti columns."""
+    hf = quotient_hf(ideal, ideal._vanishing_degree())
+    return _numerator_identity(hf, ek_betti(ideal))
+
+
+def osequence_filter(s, cap):
+    """All O-sequences (1, 3, ..., h_s) with entries <= cap and h_s > 0.
+
+    Generate-and-filter over the full integer box, with no incremental
+    pruning: the slow twin of enumerate_o_sequences, whose s and cap checks
+    it shares.
+    """
+    s, cap = _integer(s, "s", 1), _integer(cap, "cap", 3)
+    found = set()
+    for tail in product(range(cap + 1), repeat=s - 1):
+        candidate = HVector((1, 3) + tail)
+        if candidate.socle_degree == s and growth_violation(candidate.entries) is None:
+            found.add(candidate)
+    return found
 
 
 def render_ideal(ideal):

@@ -1,9 +1,10 @@
 """Every integer argument passes the one check in :mod:`levelalg.errors`,
-and every h-vector argument the one type check in :mod:`levelalg.hvectors`.
+every h-vector argument the one type check in :mod:`levelalg.hvectors`, and
+every ideal argument the one in :mod:`levelalg.monomials`.
 
-A bad value raises ValueError naming the argument, or for an h-vector its
-type; no entry point raises TypeError, AttributeError or RecursionError for
-it or returns an answer.  The degree readers of :mod:`levelalg.monomials`
+A bad value raises ValueError naming the argument, or for an h-vector, an
+ideal or a certificate its type; no entry point raises TypeError,
+AttributeError or RecursionError for it or returns an answer.  The degree readers of :mod:`levelalg.monomials`
 are covered by ``test_monomials.py::test_degree_readers_reject_bad_degrees``.
 """
 
@@ -12,8 +13,10 @@ import pytest
 from levelalg import (
     Certificate,
     HVector,
+    MonomialIdeal,
     classify,
     construct_plateau_level,
+    ek_betti,
     enumerate_o_sequences,
     green_bound,
     iarrobino_lift,
@@ -22,12 +25,16 @@ from levelalg import (
     lex_segment_ideal,
     macaulay_bound,
     macaulay_expansion,
+    quotient_hf,
     replay_certificate,
+    socle_dims,
     verify_lex,
 )
 from levelalg.classify import R_31, R_44A, R_CANCEL
 from levelalg.hvectors import require_codim3
-from levelalg.oracle import colon_and_socle_dims, expansion_exhaustive, osequence_filter
+from levelalg.oracle import colon_and_socle_dims, expansion_exhaustive
+
+from _support import osequence_filter
 
 
 def _replay_r31(d):
@@ -56,6 +63,7 @@ ENTRIES = {
     "green_bound-d": (lambda v: green_bound(7, v), "i", 0),
     "enumerate_o_sequences-s": (lambda v: list(enumerate_o_sequences(v, 10)), "s", 0),
     "enumerate_o_sequences-cap": (lambda v: list(enumerate_o_sequences(3, v)), "cap", 2),
+    # the tests' slow twin of enumerate_o_sequences refuses the same s and cap
     "osequence_filter-s": (lambda v: osequence_filter(v, 10), "s", 0),
     "osequence_filter-cap": (lambda v: osequence_filter(3, v), "cap", 2),
     "colon_and_socle_dims-top": (
@@ -125,11 +133,14 @@ HVECTOR_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize(
+WRONG_TYPES = pytest.mark.parametrize(
     "bad, type_name",
     [((1, 3, 6), "tuple"), ([1, 3, 6], "list"), (None, "NoneType")],
     ids=["tuple", "list", "None"],
 )
+
+
+@WRONG_TYPES
 @pytest.mark.parametrize("entry", list(HVECTOR_ENTRIES))
 def test_hvector_arguments_reject_other_types(entry, bad, type_name):
     # unchecked, each fails later with "object has no attribute 'entries'"
@@ -137,3 +148,58 @@ def test_hvector_arguments_reject_other_types(entry, bad, type_name):
     call(HVector((1, 3, 6)))
     with pytest.raises(ValueError, match=rf"^h must be an HVector, got {type_name}$"):
         call(bad)
+
+
+def _lex_ideal():
+    return lex_segment_ideal(HVector((1, 3, 6)))
+
+
+# entry points that take an ideal or a certificate -> (the call, a valid
+# argument, the start of the refusal)
+TYPED_ENTRIES = {
+    "ek_betti": (ek_betti, _lex_ideal, "ideal must be a MonomialIdeal"),
+    "quotient_hf": (
+        lambda i: quotient_hf(i, 2),
+        _lex_ideal,
+        "ideal must be a MonomialIdeal",
+    ),
+    "socle_dims": (socle_dims, _lex_ideal, "ideal must be a MonomialIdeal"),
+    "colon_and_socle_dims": (
+        lambda i: colon_and_socle_dims(i, 2),
+        _lex_ideal,
+        "ideal must be a MonomialIdeal",
+    ),
+    "replay_certificate": (
+        replay_certificate,
+        lambda: Certificate(R_CANCEL, 2, {"beta1_d2": 1, "beta2_d2": 2}),
+        "cert must be a Certificate",
+    ),
+}
+
+
+@WRONG_TYPES
+@pytest.mark.parametrize("entry", list(TYPED_ENTRIES))
+def test_ideal_and_certificate_arguments_reject_other_types(entry, bad, type_name):
+    # unchecked, each fails later with "object has no attribute ..."
+    call, valid, refusal = TYPED_ENTRIES[entry]
+    call(valid())
+    with pytest.raises(ValueError, match=rf"^{refusal}, got {type_name}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+def test_ideal_rejects_generators_that_are_not_iterable(bad):
+    # unchecked, iterating them raises TypeError
+    with pytest.raises(ValueError, match=rf"^generators must be iterable: {bad}$"):
+        MonomialIdeal(bad)
+
+
+@pytest.mark.parametrize(
+    "quantities", [5, None, [1, 2], ["ab", "abc"]], ids=["int", "None", "ints", "str-3"]
+)
+def test_certificate_rejects_quantities_that_are_not_pairs(quantities):
+    # unchecked, dict(quantities) raises TypeError or, for a string of
+    # length 3, its own ValueError
+    pattern = r"^quantities must be a mapping or \(name, value\) pairs: "
+    with pytest.raises(ValueError, match=pattern):
+        Certificate(R_31, 2, quantities)

@@ -6,7 +6,8 @@ import pytest
 
 from levelalg import HVector, enumerate_o_sequences, growth_violation
 from levelalg.hvectors import lowest_violation, require_codim3
-from levelalg.oracle import osequence_filter
+
+from _support import osequence_filter
 
 
 def test_construction_trims_trailing_zeros():

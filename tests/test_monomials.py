@@ -10,7 +10,6 @@ from levelalg import (
     enumerate_o_sequences,
     green_bound,
     lex_segment_ideal,
-    numerator_check,
     quotient_hf,
     socle_dims,
 )
@@ -33,6 +32,7 @@ from _support import (
     monomial_ideals,
     monomials_of_degree,
     mul_var,
+    numerator_identity,
     o_sequences,
     random_o_sequence,
     random_stable_ideal,
@@ -312,12 +312,13 @@ def test_socle_dims_matches_divisor_scan(ideal):
 
 
 def test_socle_requires_finite_colength():
-    # socle_dims and numerator_check share one finite-colength check
+    # socle_dims and the numerator identity's Hilbert function share one
+    # finite-colength check
     ideal = MonomialIdeal([Monomial(1, 0, 0)])
     with pytest.raises(ValueError) as socle:
         socle_dims(ideal)
     with pytest.raises(ValueError) as numerator:
-        numerator_check(ideal)
+        numerator_identity(ideal)
     assert str(socle.value) == str(numerator.value) == "ideal does not have finite colength"
 
 
@@ -406,9 +407,12 @@ def test_degree_readers_reject_bad_degrees(reader, bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [Monomial(2, -1, 0), Monomial(1.5, 0.5, 0), Monomial("1", 0, 0)]
+    "bad",
+    [Monomial(2, -1, 0), Monomial(1.5, 0.5, 0), Monomial("1", 0, 0), (1, 2), (1, 2, 3, 4)],
 )
 def test_ideal_rejects_malformed_exponents(bad):
+    # unchecked, a plain tuple of the wrong length fails in Monomial(*exponents)
+    # with TypeError
     with pytest.raises(ValueError, match="monomial exponents must be"):
         MonomialIdeal([Monomial(0, 0, 2), bad])
 
