@@ -13,10 +13,13 @@ Macaulay and Green bounds, so :func:`lex_betti` never builds the ideal.
 :func:`ek_betti` resolves an explicit ideal and, applied to
 :func:`~levelalg.monomials.lex_segment_ideal`, is the slow twin that
 verifies it; :func:`verify_lex` runs that check, the Hilbert-series
-numerator identity and the brute-force :mod:`levelalg.oracle` twins.
+numerator identity, the brute-force :mod:`levelalg.oracle` counts and the
+definition of each Macaulay expansion the bounds read.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from . import oracle
 from .binomials import green_bound, macaulay_bound, macaulay_expansion
@@ -140,9 +143,10 @@ def verify_lex(h: HVector) -> None:
     of its :func:`ek_betti` resolution, that resolution against
     :func:`lex_betti`, its beta_2 against the oracle's x3-colon counts,
     :func:`~levelalg.monomials.socle_dims` and then beta_2 against the
-    oracle's socle counts, and the Macaulay expansions of h_d against an
-    exhaustive search (only for d <= 8 and h_d <= 5000).  Raises
-    ConsistencyError at the first disagreement.
+    oracle's socle counts, and at every degree d = 1..s the Macaulay
+    expansion of h_d against its definition: its first index is d and its
+    binomials sum to h_d.  Raises ConsistencyError at the first
+    disagreement.
     """
     ideal = lex_segment_ideal(h)
     # The quotient vanishes from degree s + 1 on, so degrees 0..s+1 hold its
@@ -180,9 +184,14 @@ def verify_lex(h: HVector) -> None:
             f"socle/Betti duality fails: beta_2 by socle degree {beta2} "
             f"vs oracle socle {direct_socle}"
         )
-    for d in range(1, min(h.socle_degree, 8) + 1):
+    # An expansion that starts at index d and sums to n is the d-binomial
+    # expansion of n, by uniqueness: BinomialExpansion enforces the rest of
+    # the definition.  The sum uses math.comb, not binomials.shift, so the
+    # check shares no code with the bounds it vouches for.
+    for d in range(1, h.socle_degree + 1):
         n = h[d]
-        if n <= 5000 and oracle.expansion_exhaustive(n, d) != macaulay_expansion(n, d):
+        terms = macaulay_expansion(n, d).terms
+        if not terms or terms[0][1] != d or sum(comb(t, i) for t, i in terms) != n:
             raise ConsistencyError(f"expansion mismatch for ({n}, {d})")
 
 

@@ -27,7 +27,10 @@ class BinomialExpansion:
 
     ``terms`` lists pairs (n_t, t) with consecutive descending lower indices
     i, i-1, ..., j >= 1 and strictly decreasing tops n_i > n_{i-1} > ... >
-    n_j >= j.  The empty expansion represents 0.
+    n_j >= j.  The empty expansion represents 0.  The constructor enforces
+    all of this, so by uniqueness an expansion whose first index is i and
+    whose binomials sum to n is the i-binomial expansion of n: that is the
+    whole of :func:`~levelalg.betti.verify_lex`'s expansion check.
     """
 
     terms: tuple[tuple[int, int], ...]

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hvector", type=_hvector_arg)
     p.add_argument("--verify", action="store_true", help="re-run brute-force cross-checks")
 
-    p = sub.add_parser("construct", help="build level sequences")
+    p = sub.add_parser("construct", help="build candidate h-vectors (no level claim)")
     construct_sub = p.add_subparsers(dest="method", required=True)
     pi = construct_sub.add_parser("iarrobino", parents=[common])
     pi.add_argument("--base", type=_hvector_arg, required=True)

@@ -1,4 +1,4 @@
-"""Brute-force verifiers, the slow twins that ``classify --verify`` runs.
+"""Brute-force verifier, the slow twin that ``classify --verify`` runs.
 
 Everything here recomputes from first principles, independent of the main
 computational paths.  Ideal membership reads a staircase table built from
@@ -7,15 +7,11 @@ the generator list alone, not the lex-rank tables of
 table up to the top degree asked for: every monomial of each degree is
 enumerated as a raw exponent triple and tested, with its multiples, against
 that table, linear in the number of monomials and with no monomial objects
-built.  Expansions are found by exhaustive search over index sequences
-rather than greedily, which is slow on purpose.
+built.
 """
 
 from __future__ import annotations
 
-from math import comb
-
-from .binomials import BinomialExpansion
 from .errors import _integer
 from .monomials import MonomialIdeal, _ideal
 
@@ -76,52 +72,4 @@ def colon_and_socle_dims(ideal: MonomialIdeal, top: int) -> list[tuple[int, int]
                     socle += up[e2] <= e3 and row[e2 + 1] <= e3
         dims.append((colon, socle))
     return dims
-
-
-def expansion_exhaustive(n: int, i: int) -> BinomialExpansion:
-    """Find the i-binomial expansion of n by searching all index sequences.
-
-    Walks every strictly decreasing assignment n_i > n_{i-1} > ... >= index,
-    keeping a branch only while the remaining indices can still reach the
-    remaining sum (an exact feasibility bound, not a heuristic).  Exactly one
-    assignment must survive; anything else is a bug, since existence and
-    uniqueness are a theorem.
-    """
-    n, i = _integer(n, "n", 0), _integer(i, "i", 1)
-    if n == 0:
-        return BinomialExpansion(())
-
-    def max_reachable(idx: int, cap: int) -> int:
-        # largest sum from tops strictly below cap at indices idx, idx-1, ..., 1
-        total = 0
-        for u in range(idx, 0, -1):
-            top = cap - 1 - (idx - u)
-            if top >= u:
-                total += comb(top, u)
-        return total
-
-    solutions: list[tuple[tuple[int, int], ...]] = []
-
-    def search(remaining: int, idx: int, cap: int, chosen: list[tuple[int, int]]):
-        if remaining == 0:
-            solutions.append(tuple(chosen))
-            return
-        if idx == 0 or max_reachable(idx, cap) < remaining:
-            return
-        top = idx
-        while top < cap - 1 and comb(top + 1, idx) <= remaining:
-            top += 1
-        for value in range(top, idx - 1, -1):
-            if comb(value, idx) + max_reachable(idx - 1, value) < remaining:
-                break  # smaller tops reach even less
-            chosen.append((value, idx))
-            search(remaining - comb(value, idx), idx - 1, value, chosen)
-            chosen.pop()
-
-    search(n, i, n + i + 1, [])
-    if len(solutions) != 1:
-        raise RuntimeError(
-            f"expansion search for ({n}, {i}) found {len(solutions)} representations"
-        )
-    return BinomialExpansion(solutions[0])
 

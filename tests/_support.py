@@ -7,6 +7,7 @@ from math import comb, isqrt
 from hypothesis import strategies as st
 
 from levelalg import (
+    BinomialExpansion,
     HVector,
     Monomial,
     MonomialIdeal,
@@ -189,6 +190,54 @@ def osequence_filter(s, cap):
         if candidate.socle_degree == s and growth_violation(candidate.entries) is None:
             found.add(candidate)
     return found
+
+
+def expansion_exhaustive(n: int, i: int) -> BinomialExpansion:
+    """Find the i-binomial expansion of n by searching all index sequences.
+
+    Walks every strictly decreasing assignment n_i > n_{i-1} > ... >= index,
+    keeping a branch only while the remaining indices can still reach the
+    remaining sum (an exact feasibility bound, not a heuristic).  Exactly one
+    assignment must survive; anything else is a bug, since existence and
+    uniqueness are a theorem.
+    """
+    n, i = _integer(n, "n", 0), _integer(i, "i", 1)
+    if n == 0:
+        return BinomialExpansion(())
+
+    def max_reachable(idx: int, cap: int) -> int:
+        # largest sum from tops strictly below cap at indices idx, idx-1, ..., 1
+        total = 0
+        for u in range(idx, 0, -1):
+            top = cap - 1 - (idx - u)
+            if top >= u:
+                total += comb(top, u)
+        return total
+
+    solutions: list[tuple[tuple[int, int], ...]] = []
+
+    def search(remaining: int, idx: int, cap: int, chosen: list[tuple[int, int]]):
+        if remaining == 0:
+            solutions.append(tuple(chosen))
+            return
+        if idx == 0 or max_reachable(idx, cap) < remaining:
+            return
+        top = idx
+        while top < cap - 1 and comb(top + 1, idx) <= remaining:
+            top += 1
+        for value in range(top, idx - 1, -1):
+            if comb(value, idx) + max_reachable(idx - 1, value) < remaining:
+                break  # smaller tops reach even less
+            chosen.append((value, idx))
+            search(remaining - comb(value, idx), idx - 1, value, chosen)
+            chosen.pop()
+
+    search(n, i, n + i + 1, [])
+    if len(solutions) != 1:
+        raise RuntimeError(
+            f"expansion search for ({n}, {i}) found {len(solutions)} representations"
+        )
+    return BinomialExpansion(solutions[0])
 
 
 def render_ideal(ideal):

@@ -23,12 +23,12 @@ from levelalg import (
     macaulay_expansion,
     socle_dims,
 )
-from levelalg.oracle import expansion_exhaustive
 
 from _support import (
     LEVEL_VECTORS,
     PAPER_BETTI,
     betti_dict,
+    expansion_exhaustive,
     numerator_identity,
     osequence_filter,
     random_o_sequence,

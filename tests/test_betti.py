@@ -18,6 +18,7 @@ from levelalg import (
     macaulay_bound,
     render_diagram,
     socle_dims,
+    verify_lex,
 )
 
 from levelalg import betti, oracle
@@ -175,6 +176,14 @@ def test_lex_betti_equals_resolution_property(h):
     ideal = lex_segment_ideal(h)
     assert lex_betti(h) == ek_betti(ideal)
     assert numerator_identity(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(o_sequences(max_s=24))
+def test_verify_lex_passes_on_o_sequences(h):
+    # every --verify cross-check holds on a valid h, the Macaulay expansion
+    # check at every degree up to s
+    assert verify_lex(h) is None
 
 
 def test_lex_betti_rejects_invalid_input():

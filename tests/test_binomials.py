@@ -10,7 +10,8 @@ from levelalg import (
     macaulay_expansion,
     shift,
 )
-from levelalg.oracle import expansion_exhaustive
+
+from _support import expansion_exhaustive
 
 
 def test_binomial_convention():

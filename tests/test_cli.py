@@ -346,7 +346,7 @@ def test_classify_refuses_before_verifying(capsys, monkeypatch):
 
     monkeypatch.setattr(betti, "lex_segment_ideal", record("lex_segment_ideal"))
     monkeypatch.setattr(oracle, "colon_and_socle_dims", record("colon_and_socle_dims"))
-    monkeypatch.setattr(oracle, "expansion_exhaustive", record("expansion_exhaustive"))
+    monkeypatch.setattr(betti, "macaulay_expansion", record("macaulay_expansion"))
     assert run(["classify", "1,3", "--verify"]) == 3
     captured = capsys.readouterr()
     assert calls == []
@@ -459,8 +459,13 @@ def test_output_is_deterministic(capsys):
 
 
 def test_unknown_command_is_usage_error(capsys):
+    # argparse words the list of choices differently across patch releases,
+    # so this checks only the part every release shares; the corpus digest
+    # leaves the record out for the same reason
     assert run(["frobnicate"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'frobnicate'" in captured.err
 
 
 PARSER_REUSE_CALLS = [
@@ -535,16 +540,33 @@ def test_classify_verification_catches_wrong_expansion(capsys, monkeypatch, entr
     assert "expansion mismatch" in captured.err
 
 
+def test_classify_verification_catches_expansion_wrong_above_degree_8(
+    capsys, monkeypatch
+):
+    # the expansion check runs at every degree: a bug that shows only past
+    # degree 8 fails at d = 9 of this socle-degree-9 vector
+    real = betti.macaulay_expansion
+    monkeypatch.setattr(
+        betti,
+        "macaulay_expansion",
+        lambda n, i: real(n + 1, i) if i > 8 else real(n, i),
+    )
+    assert run(["classify", "1,3,6,10,12,14,16,18,19,20", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expansion mismatch for (20, 9)" in captured.err
+
+
 def test_cli_corpus_bytes_unchanged():
     # sha256 over (argv, exit code, stdout, stderr) of every invocation in
-    # cli_corpus, re-recorded when `construct --json` dropped its unchecked
-    # "asserted_level" key (the corpus without construct kept its digest):
-    # any changed byte of any subcommand's output moves it.  The argparse
-    # wording it pins is that of CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0;
-    # 3.13.13 quotes an invalid subcommand's choices differently
+    # cli_corpus, re-recorded when the `construct` help dropped its level
+    # claim and the invalid-subcommand record left the corpus (the corpus
+    # without those two records kept its digest): any changed byte of any
+    # subcommand's output moves it.  The same under CPython 3.10.13, 3.11.7,
+    # 3.12.1, 3.13.0 and 3.13.13
     assert digest() == (
-        "cc8530dbf47fdf23ea7e914d874cb1a6c07c2e4c513fb03a29935a1967cb015c",
-        10514,
+        "6d8018bd817c159e73b7a95e486405e2ad5879696fccda7598f6913c4edbc99d",
+        10513,
     )
 
 

@@ -32,9 +32,9 @@ from levelalg import (
 )
 from levelalg.classify import R_31, R_44A, R_CANCEL
 from levelalg.hvectors import require_codim3
-from levelalg.oracle import colon_and_socle_dims, expansion_exhaustive
+from levelalg.oracle import colon_and_socle_dims
 
-from _support import osequence_filter
+from _support import expansion_exhaustive, osequence_filter
 
 
 def _replay_r31(d):
@@ -55,6 +55,7 @@ def _replay_r_cancel(beta2):
 ENTRIES = {
     "macaulay_expansion-n": (lambda v: macaulay_expansion(v, 2), "n", -1),
     "macaulay_expansion-i": (lambda v: macaulay_expansion(7, v), "i", 0),
+    # the tests' slow twin of macaulay_expansion refuses the same n and i
     "expansion_exhaustive-n": (lambda v: expansion_exhaustive(v, 2), "n", -1),
     "expansion_exhaustive-i": (lambda v: expansion_exhaustive(7, v), "i", 0),
     "macaulay_bound-h": (lambda v: macaulay_bound(v, 2), "n", -1),
