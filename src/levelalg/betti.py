@@ -19,6 +19,7 @@ definition of each Macaulay expansion the bounds read.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from . import oracle
@@ -54,18 +55,43 @@ def ek_betti(ideal: MonomialIdeal) -> Columns:
     return b0, b1, b2
 
 
+# Sweeps meet the same (h_{g-1}, h_g, g) again and again; a fixed bound
+# keeps a long one at large s or cap from growing memory without limit.
+_COLUMNS = 1 << 16
+
+
+@lru_cache(maxsize=_COLUMNS)
+def _lex_column(h_prev: int, h_g: int, g: int) -> tuple[int, int, int]:
+    """(beta_{0,g}, beta_{1,g+1}, beta_{2,g+2}) added by the lex ideal's
+    minimal generators of degree g >= 2, from h_{g-1} and h_g alone.
+
+    There are macaulay_bound(h_{g-1}, g-1) - h_g of them.  With
+    r_t = green_bound(h_t, t), the lex quotient's Hilbert function modulo
+    x3, (g+1 - r_g) - (g - r_{g-1} + 1 if g > r_{g-1} else 0) of them avoid
+    x3, x1^g among them when degree g-1 of the quotient is the whole ring and
+    degree g is not.  By Eliahou-Kervaire a generator with largest variable x2
+    adds 1 to beta_1, and one with x3 adds 2 to beta_1 and 1 to beta_2.  A
+    negative count (invalid h or wrong bound) raises ValueError.
+    """
+    r_prev = green_bound(h_prev, g - 1)
+    total = macaulay_bound(h_prev, g - 1) - h_g
+    in_x2 = g + 1 - green_bound(h_g, g)  # avoiding x3, x1^g not yet taken off
+    if g > r_prev:
+        in_x2 -= g - r_prev + 1
+    in_x3 = total - in_x2
+    if h_prev == g * (g + 1) // 2 and h_g < h_prev + g + 1:  # C(g+1, 2)
+        in_x2 -= 1  # x1^g
+    if in_x2 < 0 or in_x3 < 0:  # in_x2 + in_x3 <= total
+        raise ValueError(f"negative lex generator count in degree {g}")
+    return total, in_x2 + 2 * in_x3, in_x3
+
+
 def lex_betti(h: HVector) -> Columns:
     """Betti columns of the lex-segment ideal of h, from h alone.
 
-    Each column runs over shifts 0..s+3.  Let r_t = green_bound(h_t, t),
-    the Hilbert function of the lex ideal modulo x3, and h_{s+1} = 0.  In
-    each degree g = 2..s+1 the ideal has macaulay_bound(h_{g-1}, g-1) - h_g
-    minimal generators.  Of these, (g+1 - r_g) - (g - r_{g-1} + 1 if
-    g > r_{g-1} else 0) avoid x3, and x1^g is one exactly at the first g
-    with h_g < C(g+2, 2).  Eliahou-Kervaire turns these counts by largest
-    variable into Betti numbers.  h_1 = 3 leaves no linear generators, so
-    the loop starts at g = 2 with r_1 = green_bound(h_1, 1) and
-    C(g+1, 2) = C(3, 2) = 3.
+    Each column runs over shifts 0..s+3.  With h_{s+1} = 0, each degree
+    g = 2..s+1 adds the Betti numbers of :func:`_lex_column`; h_1 = 3
+    leaves no linear generators.
 
     The same pass validates h, so callers need no separate
     :func:`~levelalg.hvectors.require_codim3`: h_0 = 1 and h_1 = 3 are
@@ -81,23 +107,12 @@ def lex_betti(h: HVector) -> Columns:
         require_codim3(h)  # raises: h_0 or h_1 is at fault
     size = len(padded) + 2
     b0, b1, b2 = [0] * size, [0] * size, [0] * size
-    r_prev = green_bound(padded[1], 1)
-    full_prev = 3  # C(g+1, 2), the whole ring in degree g-1
-    for g in range(2, len(padded)):
-        h_prev, h_g = padded[g - 1], padded[g]
-        full = full_prev + g + 1  # C(g+2, 2)
-        r_g = green_bound(h_g, g)
-        total = macaulay_bound(h_prev, g - 1) - h_g
-        in_x1x2 = (g + 1 - r_g) - (g - r_prev + 1 if g > r_prev else 0)
-        in_x1 = int(h_g < full and h_prev == full_prev)
-        in_x2, in_x3 = in_x1x2 - in_x1, total - in_x1x2
-        if in_x2 < 0 or in_x3 < 0:  # in_x2 + in_x3 <= total
-            require_codim3(h)  # raises for an invalid h
-            raise ValueError(f"negative lex generator count in degree {g} for {h}")
-        b0[g] = total
-        b1[g + 1] = in_x2 + 2 * in_x3
-        b2[g + 2] = in_x3
-        r_prev, full_prev = r_g, full
+    try:
+        for g in range(2, len(padded)):
+            b0[g], b1[g + 1], b2[g + 2] = _lex_column(padded[g - 1], padded[g], g)
+    except ValueError as exc:
+        require_codim3(h)  # raises for an invalid h
+        raise ValueError(f"{exc} for {h}") from None
     return b0, b1, b2
 
 

@@ -1,15 +1,15 @@
 """Level / NotLevel / Unknown classification of codimension-3 h-vectors.
 
 Each obstruction rule inspects the graded Betti numbers of the lex-segment
-ideal, read by index from the integer columns of
-:func:`~levelalg.betti.lex_betti` (computed from h alone; the ideal itself is
-built only to verify them), or the h-vector window around a degree d.  When a
-rule fires it records a certificate holding every integer it compared, so the
-verdict can be replayed from the certificate alone.  If no obstruction fires
-and the vector is differentiable, it is a level O-sequence: any
-differentiable O-sequence is the truncation of a Gorenstein one.  Otherwise
-the honest answer is Unknown; the implemented criteria are not a complete
-classification.
+ideal, which :func:`~levelalg.betti._lex_column` computes degree by degree
+from two entries of h, the same numbers :func:`~levelalg.betti.lex_betti`
+assembles (the ideal itself is built only to verify them), or the h-vector
+window around a degree d.  When a rule fires it records a certificate
+holding every integer it compared, so the verdict can be replayed from the
+certificate alone.  If no obstruction fires and the vector is
+differentiable, it is a level O-sequence: any differentiable O-sequence is
+the truncation of a Gorenstein one.  Otherwise the honest answer is Unknown;
+the implemented criteria are not a complete classification.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .binomials import binomial, green_bound, macaulay_bound
-from .hvectors import HVector, growth_violation, require_codim3
-from .betti import lex_betti
+from .hvectors import HVector, _hvector, growth_violation, require_codim3
+from .betti import _lex_column
 from .errors import _integer
 
 R_CANCEL = "R-CANCEL"
@@ -109,6 +109,11 @@ class Verdict:
         }
 
 
+def _delta_names(n: int) -> tuple[str, ...]:
+    """R-LEVEL-DIFF's quantity names for n entries of Delta h: delta_0 .. delta_{n-1}."""
+    return tuple(f"delta_{i}" for i in range(n))
+
+
 def replay_certificate(cert: Certificate) -> bool:
     """Re-evaluate a certificate's inequality from its stored quantities.
 
@@ -125,7 +130,7 @@ def replay_certificate(cert: Certificate) -> bool:
         raise ValueError(f"cert must be a Certificate, got {type(cert).__name__}")
     q = cert.quantities
     if cert.rule == R_LEVEL_DIFF:
-        names = [f"delta_{i}" for i in range(len(q))]
+        names = _delta_names(len(q))
     elif cert.rule in RULES:
         names = RULES[cert.rule]
     else:
@@ -172,17 +177,20 @@ def classify(h: HVector) -> Verdict:
 
     Obstruction rules run at every interior position 2 <= d <= s-1 (the two
     end-restricted rules only at d = s-1) and all firing certificates are
-    collected.  Betti input is the integer columns of
-    :func:`~levelalg.betti.lex_betti`, read by index.  Computing them
-    validates h in the same pass (entries are integers by construction of
-    :class:`~levelalg.hvectors.HVector`): an invalid h raises the
-    ``require_codim3`` ValueError, and a valid one is never checked twice.
-    The same loop over d tracks whether the first difference grows within
-    the Macaulay bound, which decides R-LEVEL-DIFF when nothing fires.
+    collected.  The Betti numbers at d come from the cached degree-d and
+    degree-(d+1) entries of :func:`~levelalg.betti._lex_column`, the ones
+    :func:`~levelalg.betti.lex_betti` assembles, each read once per vector.
+    After h_0 and h_1, their generator counts validate degrees 2..s of h
+    (integers by construction of :class:`~levelalg.hvectors.HVector`): an
+    invalid h raises the ``require_codim3`` ValueError, and a valid one is
+    never checked twice.  The same loop over d tracks whether the first
+    difference grows within the Macaulay bound, which decides R-LEVEL-DIFF
+    when nothing fires.
     """
-    _, b1, b2 = lex_betti(h)
-    e = h.entries
-    s = h.socle_degree
+    e = _hvector(h).entries
+    if e[0] != 1 or len(e) < 2 or e[1] != 3:
+        require_codim3(h)  # raises: h_0 or h_1 is at fault
+    s = len(e) - 1
     if s < 2:
         raise ValueError("classification requires socle degree at least 2")
 
@@ -194,38 +202,44 @@ def classify(h: HVector) -> Verdict:
     # Delta h = (1, 2, h_2 - 3, ...) is an O-sequence: h_2 <= 6 caps its
     # degree-2 entry, and the loop checks each later step
     differentiable = e[2] >= 3
-    for d in range(2, s):  # d + 1 <= s, so e[d + 1] needs no zero padding
-        beta1, beta2, beta2_next = b1[d + 2], b2[d + 2], b2[d + 3]
-        h_dm1, h_d, h_dp1 = e[d - 1], e[d], e[d + 1]
-        delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
-        if differentiable:
-            differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
+    try:
+        beta2_next = _lex_column(3, e[2], 2)[2]  # checks degree 2 when s = 2
+        for d in range(2, s):  # d + 1 <= s, so e[d + 1] needs no zero padding
+            h_dm1, h_d, h_dp1 = e[d - 1], e[d], e[d + 1]
+            beta2 = beta2_next  # degree d's column: each is read once
+            _, beta1, beta2_next = _lex_column(h_d, h_dp1, d + 1)
+            delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
+            if differentiable:
+                differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
 
-        if beta2 > beta1:
-            fire(R_CANCEL, d, beta1, beta2)
-        elif beta1 == beta2 > 0:
-            if beta2_next > 0:
-                fire(R_31, d, beta1, beta2, beta2_next)
-            increasing = h_dm1 < h_d < h_dp1
-            if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
-                fire(R_33, d, beta1, beta2, h_dm1, h_d, h_dp1)
-            if increasing and delta_hd != delta_hd1:
-                fire(R_37, d, beta1, beta2, delta_hd, delta_hd1)
-        if h_dm1 == h_d < h_dp1:
-            green_next = green_bound(h_dp1, d + 1)
-            if green_next <= 2 * delta_hd1:
-                fire(R_42, d, delta_hd, delta_hd1, green_next)
-        if d + 1 == s:
-            if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
-                fire(R_44A, d, delta_hd, delta_hd1, h_d, 3 * d + 2)
-            if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
-                fire(R_AS, d, delta_hd, delta_hd1, h_d, 2 * d + 3)
+            if beta2 > beta1:
+                fire(R_CANCEL, d, beta1, beta2)
+            elif beta1 == beta2 > 0:
+                if beta2_next > 0:
+                    fire(R_31, d, beta1, beta2, beta2_next)
+                increasing = h_dm1 < h_d < h_dp1
+                if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
+                    fire(R_33, d, beta1, beta2, h_dm1, h_d, h_dp1)
+                if increasing and delta_hd != delta_hd1:
+                    fire(R_37, d, beta1, beta2, delta_hd, delta_hd1)
+            if h_dm1 == h_d < h_dp1:
+                green_next = green_bound(h_dp1, d + 1)
+                if green_next <= 2 * delta_hd1:
+                    fire(R_42, d, delta_hd, delta_hd1, green_next)
+            if d + 1 == s:
+                if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
+                    fire(R_44A, d, delta_hd, delta_hd1, h_d, 3 * d + 2)
+                if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
+                    fire(R_AS, d, delta_hd, delta_hd1, h_d, 2 * d + 3)
+    except ValueError as exc:  # a negative generator count
+        require_codim3(h)  # raises for an invalid h
+        raise ValueError(f"{exc} for {h}") from None
 
     if fired:
         return Verdict(NOT_LEVEL, tuple(fired))
     if differentiable:
-        quantities = {f"delta_{i}": value for i, value in enumerate(h.first_difference())}
-        return Verdict(LEVEL, (Certificate(R_LEVEL_DIFF, s, quantities),))
+        deltas = zip(_delta_names(s + 1), h.first_difference())
+        return Verdict(LEVEL, (Certificate(R_LEVEL_DIFF, s, deltas),))
     return Verdict(UNKNOWN, ())
 
 

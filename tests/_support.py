@@ -17,7 +17,23 @@ from levelalg import (
     macaulay_bound,
     quotient_hf,
 )
-from levelalg.betti import _numerator_identity
+from levelalg.betti import _numerator_identity, lex_betti
+from levelalg.classify import (
+    LEVEL,
+    NOT_LEVEL,
+    R_31,
+    R_33,
+    R_37,
+    R_42,
+    R_44A,
+    R_AS,
+    R_CANCEL,
+    R_LEVEL_DIFF,
+    RULES,
+    UNKNOWN,
+    Certificate,
+    Verdict,
+)
 from levelalg.errors import _integer
 from levelalg.monomials import lex_rank, monomial_count
 from levelalg.oracle import _staircase
@@ -405,6 +421,23 @@ def o_sequences(draw, max_s=18):
 
 
 @st.composite
+def family_and_walk_vectors(draw, max_s=96):
+    """The shapes of the classify-large benchmark: a family_hvector, or a
+    walk that follows one to a peak and then plateaus, drops or climbs by
+    one, within the growth bound."""
+    s = draw(st.integers(2, max_s))
+    h = family_hvector(s, draw(st.integers(0, 3 * max_s)))
+    if draw(st.booleans()):
+        return h
+    entries = list(h.entries[: draw(st.integers(2, s)) + 1])
+    for i in range(len(entries), s + 1):
+        prev = entries[-1]
+        step = draw(st.sampled_from((0, 0, -1, -3, -8, 1)))
+        entries.append(max(1, min(macaulay_bound(prev, i - 1), prev + step)))
+    return HVector(tuple(entries))
+
+
+@st.composite
 def monomials(draw, max_degree=6):
     t = draw(st.integers(0, max_degree))
     e1 = draw(st.integers(0, t))
@@ -441,3 +474,68 @@ def finite_colength_ideals(draw, max_degree=6):
     a1, a2, a3 = (draw(st.integers(1, max_degree)) for _ in range(3))
     powers = (Monomial(a1, 0, 0), Monomial(0, a2, 0), Monomial(0, 0, a3))
     return MonomialIdeal(draw(monomial_ideals(max_degree)).generators() + powers)
+
+
+def classify_by_columns(h):
+    """The two-pass slow twin of :func:`~levelalg.classify.classify`: the
+    :func:`~levelalg.betti.lex_betti` columns first, then the rule loop.
+
+    Classify a codimension-3 O-sequence as Level, NotLevel, or Unknown.
+
+    Obstruction rules run at every interior position 2 <= d <= s-1 (the two
+    end-restricted rules only at d = s-1) and all firing certificates are
+    collected.  Betti input is the integer columns of
+    :func:`~levelalg.betti.lex_betti`, read by index.  Computing them
+    validates h in the same pass (entries are integers by construction of
+    :class:`~levelalg.hvectors.HVector`): an invalid h raises the
+    ``require_codim3`` ValueError, and a valid one is never checked twice.
+    The same loop over d tracks whether the first difference grows within
+    the Macaulay bound, which decides R-LEVEL-DIFF when nothing fires.
+    """
+    _, b1, b2 = lex_betti(h)
+    e = h.entries
+    s = h.socle_degree
+    if s < 2:
+        raise ValueError("classification requires socle degree at least 2")
+
+    fired: list[Certificate] = []
+
+    def fire(rule: str, d: int, *values: int) -> None:
+        fired.append(Certificate(rule, d, zip(RULES[rule], values)))
+
+    # Delta h = (1, 2, h_2 - 3, ...) is an O-sequence: h_2 <= 6 caps its
+    # degree-2 entry, and the loop checks each later step
+    differentiable = e[2] >= 3
+    for d in range(2, s):  # d + 1 <= s, so e[d + 1] needs no zero padding
+        beta1, beta2, beta2_next = b1[d + 2], b2[d + 2], b2[d + 3]
+        h_dm1, h_d, h_dp1 = e[d - 1], e[d], e[d + 1]
+        delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
+        if differentiable:
+            differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
+
+        if beta2 > beta1:
+            fire(R_CANCEL, d, beta1, beta2)
+        elif beta1 == beta2 > 0:
+            if beta2_next > 0:
+                fire(R_31, d, beta1, beta2, beta2_next)
+            increasing = h_dm1 < h_d < h_dp1
+            if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
+                fire(R_33, d, beta1, beta2, h_dm1, h_d, h_dp1)
+            if increasing and delta_hd != delta_hd1:
+                fire(R_37, d, beta1, beta2, delta_hd, delta_hd1)
+        if h_dm1 == h_d < h_dp1:
+            green_next = green_bound(h_dp1, d + 1)
+            if green_next <= 2 * delta_hd1:
+                fire(R_42, d, delta_hd, delta_hd1, green_next)
+        if d + 1 == s:
+            if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
+                fire(R_44A, d, delta_hd, delta_hd1, h_d, 3 * d + 2)
+            if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
+                fire(R_AS, d, delta_hd, delta_hd1, h_d, 2 * d + 3)
+
+    if fired:
+        return Verdict(NOT_LEVEL, tuple(fired))
+    if differentiable:
+        quantities = {f"delta_{i}": value for i, value in enumerate(h.first_difference())}
+        return Verdict(LEVEL, (Certificate(R_LEVEL_DIFF, s, quantities),))
+    return Verdict(UNKNOWN, ())

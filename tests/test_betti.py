@@ -27,6 +27,7 @@ from levelalg.hvectors import require_codim3
 from _support import (
     PAPER_BETTI,
     betti_dict,
+    classify_by_columns,
     ek_betti_by_generator,
     family_hvector,
     numerator_identity,
@@ -120,12 +121,22 @@ def test_lex_betti_equals_resolution_exhaustive(s):
 )
 def test_negative_generator_count_raises(monkeypatch, bound, wrong):
     # a wrong bound makes a generator count negative: the columns must
-    # refuse it instead of handing a negative Betti number to the rules
-    monkeypatch.setattr(betti, bound, wrong)
+    # refuse it instead of handing a negative Betti number to the rules.
+    # the columns are cached, so the cache is emptied before the patch, or
+    # columns of the real bounds would answer, and after the undo, or
+    # columns of the wrong bound would outlive the patch
     h = HVector((1, 3, 6, 10, 15, 16, 18))
-    for compute in (classify, lex_betti, lambda h: lex_betti_window(h, 5)):
-        with pytest.raises(ValueError, match="negative lex generator count"):
-            compute(h)
+    betti._lex_column.cache_clear()
+    try:
+        monkeypatch.setattr(betti, bound, wrong)
+        for compute in (classify, lex_betti, lambda h: lex_betti_window(h, 5)):
+            with pytest.raises(ValueError, match="negative lex generator count"):
+                compute(h)
+    finally:
+        monkeypatch.undo()
+        betti._lex_column.cache_clear()
+    assert classify(h) == classify_by_columns(h)
+    assert [c.rule for c in classify(h).certificates] == ["R-31", "R-37"]
 
 
 @st.composite

@@ -26,7 +26,7 @@ from levelalg import (
     replay_certificate,
     socle_dims,
 )
-from levelalg import hvectors, oracle
+from levelalg import betti, hvectors, oracle
 from levelalg.classify import (
     LEVEL,
     NOT_LEVEL,
@@ -46,6 +46,8 @@ from levelalg.classify import (
 from _support import (
     LEVEL_VECTORS,
     NOT_LEVEL_VECTORS,
+    classify_by_columns,
+    family_and_walk_vectors,
     family_hvector,
     monomials_of_degree,
     o_sequences,
@@ -314,8 +316,9 @@ def test_classify_certificates_own_their_quantities():
 
 
 def test_valid_input_is_validated_once(monkeypatch):
-    # the Betti column loop is the only validation classify runs on valid
-    # input, and the R-LEVEL-DIFF growth check rides the rule loop
+    # the lex generator counts are the only validation classify runs on
+    # valid input (a cached column was validated when it was computed), and
+    # the R-LEVEL-DIFF growth check rides the rule loop
     def forbidden(*args, **kwargs):
         raise AssertionError("classify must not call growth_violation")
 
@@ -323,6 +326,35 @@ def test_valid_input_is_validated_once(monkeypatch):
     monkeypatch.setattr(classify_module, "growth_violation", forbidden)
     kinds = {classify(h).kind for h in enumerate_o_sequences(5, 12)}
     assert kinds == {LEVEL, NOT_LEVEL, UNKNOWN}
+
+
+def _assert_matches_two_pass_twin(h):
+    fast, slow = classify(h), classify_by_columns(h)
+    assert fast == slow, h
+    # the JSON bytes pin the certificate order and each one's quantity order
+    assert json.dumps(fast.as_dict()) == json.dumps(slow.as_dict()), h
+
+
+@pytest.mark.parametrize("s", range(2, 8))
+def test_classify_matches_two_pass_twin_exhaustive(s):
+    vectors = list(enumerate_o_sequences(s, 20))
+    for h in vectors:
+        _assert_matches_two_pass_twin(h)
+    # no verdict may depend on what the column cache held: start it empty
+    # and meet the columns in the other order
+    betti._lex_column.cache_clear()
+    for h in reversed(vectors):
+        _assert_matches_two_pass_twin(h)
+    info = betti._lex_column.cache_info()
+    assert info.maxsize == betti._COLUMNS
+    assert 0 < info.currsize <= info.maxsize
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_and_walk_vectors())
+@example(family_hvector(96, 40))
+def test_classify_matches_two_pass_twin_property(h):
+    _assert_matches_two_pass_twin(h)
 
 
 def test_no_vector_is_both_level_and_not_level_small_sweep():

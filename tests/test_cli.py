@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -244,6 +245,26 @@ def test_classify_verification_catches_wrong_betti_numbers(capsys, monkeypatch):
     assert "internal consistency failure" in captured.err
 
 
+def test_classify_verification_covers_the_columns_the_rules_read(capsys, monkeypatch):
+    # the rules and the --verify cross-check read the same lex columns: one
+    # wrong Betti number changes the verdict and fails against the
+    # resolution of the lex ideal
+    real = betti._lex_column
+
+    def wrong(h_prev, h_g, g):
+        total, beta1, beta2 = real(h_prev, h_g, g)
+        return total, beta1 + (g == 6), beta2
+
+    for module in (betti, importlib.import_module("levelalg.classify")):
+        monkeypatch.setattr(module, "_lex_column", wrong)
+    assert run(["classify", "1,3,6,10,15,16,18", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] != "NotLevel"
+    assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal consistency failure" in captured.err
+
+
 VERIFY_VECTORS = ["1,3,6,10,15,16,18", "1,3,5,6,6,6,6", "1,3,6,10,12,14,16,18,19,20"]
 
 
@@ -449,6 +470,26 @@ def test_enumerate_stats_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["total"] == 6
     assert set(data["verdicts"]) == {"Level", "NotLevel", "Unknown"}
+
+
+def test_enumerate_stats_pins_the_benchmark_sweep(capsys):
+    # the sweep-s7 benchmark's space; CI checks the installed console script
+    # against the same document
+    assert run(["enumerate", "--socle", "7", "--cap", "20", "--stats", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "total": 16047,
+        "verdicts": {"Level": 152, "NotLevel": 11514, "Unknown": 4381},
+        "rules": {
+            "R-CANCEL": 12199,
+            "R-31": 1768,
+            "R-33": 1748,
+            "R-37": 20,
+            "R-42": 1817,
+            "R-44A": 173,
+            "R-AS": 2246,
+            "R-LEVEL-DIFF": 152,
+        },
+    }
 
 
 def test_output_is_deterministic(capsys):
