@@ -24,7 +24,6 @@ from .monomials import (
     MonomialIdeal,
     lex_segment_ideal,
     quotient_hf,
-    socle_dims,
 )
 from .betti import (
     ek_betti,
@@ -68,6 +67,5 @@ __all__ = [
     "render_diagram",
     "replay_certificate",
     "shift",
-    "socle_dims",
     "verify_lex",
 ]

@@ -26,7 +26,7 @@ from . import oracle
 from .binomials import green_bound, macaulay_bound, macaulay_expansion
 from .errors import ConsistencyError, _integer
 from .hvectors import HVector, _hvector, require_codim3
-from .monomials import MonomialIdeal, _ideal, lex_segment_ideal, quotient_hf, socle_dims
+from .monomials import MonomialIdeal, _ideal, lex_segment_ideal, quotient_hf
 
 Columns = tuple[list[int], list[int], list[int]]
 
@@ -156,11 +156,10 @@ def verify_lex(h: HVector) -> None:
 
     In order: the ideal's Hilbert function against h, the numerator identity
     of its :func:`ek_betti` resolution, that resolution against
-    :func:`lex_betti`, its beta_2 against the oracle's x3-colon counts,
-    :func:`~levelalg.monomials.socle_dims` and then beta_2 against the
-    oracle's socle counts, and at every degree d = 1..s the Macaulay
-    expansion of h_d against its definition: its first index is d and its
-    binomials sum to h_d.  Raises ConsistencyError at the first
+    :func:`lex_betti`, its beta_2 against the oracle's x3-colon counts and
+    then against the oracle's socle counts, and at every degree d = 1..s the
+    Macaulay expansion of h_d against its definition: its first index is d
+    and its binomials sum to h_d.  Raises ConsistencyError at the first
     disagreement.
     """
     ideal = lex_segment_ideal(h)
@@ -191,9 +190,6 @@ def verify_lex(h: HVector) -> None:
             f"x3-colon counts by degree {colon} vs oracle {direct_colon}"
         )
     direct_socle = {t: n for t, (_, n) in enumerate(direct) if n}
-    dims = socle_dims(ideal)
-    if dims != direct_socle:
-        raise ConsistencyError(f"socle dimensions {dims} vs oracle {direct_socle}")
     if beta2 != direct_socle:
         raise ConsistencyError(
             f"socle/Betti duality fails: beta_2 by socle degree {beta2} "

@@ -123,8 +123,9 @@ def replay_certificate(cert: Certificate) -> bool:
     back from sorted JSON replays too.  Then a non-integer ``d`` or quantity
     raises ValueError naming it; True counts as 1.  ``bound`` must be 3d+2
     for R-44A and 2d+3 for R-AS, and R-LEVEL-DIFF's ``d`` its last delta
-    index, the socle degree; otherwise the replay is False.  Anything but a
-    Certificate raises ValueError naming its type.
+    index, the socle degree; an obstruction certificate must have d >= 2 and
+    no negative quantity but a delta; otherwise the replay is False.
+    Anything but a Certificate raises ValueError naming its type.
     """
     if not isinstance(cert, Certificate):
         raise ValueError(f"cert must be a Certificate, got {type(cert).__name__}")
@@ -141,6 +142,10 @@ def replay_certificate(cert: Certificate) -> bool:
         )
     d = _integer(cert.d, "d")
     q = {name: _integer(value, name) for name, value in q.items()}
+    # obstruction rules fire only at d >= 2; only first differences can be < 0
+    negative = any(v < 0 for name, v in q.items() if not name.startswith("delta"))
+    if negative or (d < 2 and cert.rule != R_LEVEL_DIFF):
+        return False
     if cert.rule == R_CANCEL:
         return q["beta2_d2"] > q["beta1_d2"]
     if cert.rule == R_31:

@@ -154,20 +154,6 @@ class MonomialIdeal:
                 need |= 1 << (r - tail)
         return self._ensure_tables(d) & need == need
 
-    def _vanishing_degree(self) -> int:
-        """Least degree in which every monomial lies in the ideal."""
-        # x1^g, x2^g, x3^g (ranks 0, T(g), T(g + 1) - 1) are members at the
-        # top generator degree g exactly when a power of each variable is a
-        # generator
-        g = max(self._gens_by_degree, default=0)
-        corners = 1 | 1 << g * (g + 1) // 2 | 1 << (g + 1) * (g + 2) // 2 - 1
-        if self._ensure_tables(g) & corners != corners:
-            raise ValueError("ideal does not have finite colength")
-        t = 0
-        while self._ensure_tables(t) != (1 << monomial_count(t)) - 1:
-            t += 1
-        return t
-
     def __repr__(self) -> str:
         return f"MonomialIdeal({', '.join(str(m) for m in self.generators())})"
 
@@ -243,28 +229,3 @@ def quotient_hf(ideal: MonomialIdeal, through: int) -> tuple[int, ...]:
         for t in range(_integer(through, "degree", 0) + 1)
     )
 
-
-def socle_dims(ideal: MonomialIdeal) -> dict[int, int]:
-    """Dimensions of the quotient's socle by degree (zero entries omitted).
-
-    A degree-t monomial u outside the ideal is a socle element when all of
-    x1*u, x2*u, x3*u fall inside.  Requires finite colength.
-    """
-    dims: dict[int, int] = {}
-    after = _ideal(ideal)._ensure_tables(0)
-    for t in range(ideal._vanishing_degree()):
-        members, after = after, ideal._ensure_tables(t + 1)
-        # u of rank r in block tail has x1*u, x2*u, x3*u at ranks r,
-        # r + tail + 1, r + tail + 2: the x2 and x3 multiples of block tail
-        # are block tail + 1 of the next row, read at offsets 0 and 1;
-        # `multiples` marks the u with both of them in the ideal
-        multiples = 0
-        start = 0  # T(tail)
-        for tail in range(t + 1):
-            above = after >> (start + tail + 1)
-            multiples |= (above & (above >> 1) & ((1 << (tail + 1)) - 1)) << start
-            start += tail + 1
-        count = (multiples & after & ~members).bit_count()
-        if count:
-            dims[t] = count
-    return dims

@@ -187,8 +187,20 @@ def restricted_hf_by_monomials(ideal, through):
 
 def numerator_identity(ideal):
     """The Hilbert-series numerator identity of a finite-colength ideal: its
-    quotient's whole Hilbert function against its ek_betti columns."""
-    hf = quotient_hf(ideal, ideal._vanishing_degree())
+    quotient's whole Hilbert function against its ek_betti columns.
+
+    With x1^a1, x2^a2, x3^a3 the pure-power generators, a monomial outside
+    the ideal has degree at most a1 + a2 + a3 - 3, so the quotient is zero
+    from degree a1 + a2 + a3 - 2 on and reading through a1 + a2 + a3 covers
+    it.  An ideal that lacks a pure power of some variable raises ValueError.
+    """
+    gens = ideal.generators()
+    powers = [
+        min((g.degree for g in gens if g[v] == g.degree), default=None) for v in range(3)
+    ]
+    if None in powers:
+        raise ValueError("ideal does not have finite colength")
+    hf = quotient_hf(ideal, sum(powers))
     return _numerator_identity(hf, ek_betti(ideal))
 
 

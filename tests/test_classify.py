@@ -24,7 +24,6 @@ from levelalg import (
     lex_segment_ideal,
     quotient_hf,
     replay_certificate,
-    socle_dims,
 )
 from levelalg import betti, hvectors, oracle
 from levelalg.classify import (
@@ -158,25 +157,70 @@ def test_replay_detects_tampering():
 
 
 @pytest.mark.parametrize(
-    "rule, d, quantities",
+    "forged, honest",
     [
         # h_d and bound far above any cap at d = 5 (3d+2 = 17, 2d+3 = 13)
-        (R_44A, 5, {"delta_hd": 0, "delta_hd1": 1, "h_d": 10**6, "bound": 10**7}),
-        (R_AS, 5, {"delta_hd": -1, "delta_hd1": 0, "h_d": 10**6, "bound": 10**7}),
+        (
+            Certificate(R_44A, 5, {"delta_hd": 0, "delta_hd1": 1, "h_d": 10**6, "bound": 10**7}),
+            Certificate(R_44A, 5, {"delta_hd": 0, "delta_hd1": 1, "h_d": 17, "bound": 17}),
+        ),
+        (
+            Certificate(R_AS, 5, {"delta_hd": -1, "delta_hd1": 0, "h_d": 10**6, "bound": 10**7}),
+            Certificate(R_AS, 5, {"delta_hd": -1, "delta_hd1": 0, "h_d": 13, "bound": 13}),
+        ),
         # a differentiable (1, 2) whose d is not its socle degree 1
-        (R_LEVEL_DIFF, 99, {"delta_0": 1, "delta_1": 2}),
+        (
+            Certificate(R_LEVEL_DIFF, 99, {"delta_0": 1, "delta_1": 2}),
+            Certificate(R_LEVEL_DIFF, 1, {"delta_0": 1, "delta_1": 2}),
+        ),
+        # classify fires obstruction rules only at d >= 2
+        (
+            Certificate(R_CANCEL, -7, {"beta1_d2": -5, "beta2_d2": -3}),
+            Certificate(R_CANCEL, 2, {"beta1_d2": 3, "beta2_d2": 5}),
+        ),
+        (
+            Certificate(R_CANCEL, 0, {"beta1_d2": 0, "beta2_d2": 1}),
+            Certificate(R_CANCEL, 2, {"beta1_d2": 0, "beta2_d2": 1}),
+        ),
+        (
+            Certificate(R_44A, -1, {"delta_hd": 0, "delta_hd1": 1, "h_d": -5, "bound": -1}),
+            Certificate(R_44A, 3, {"delta_hd": 0, "delta_hd1": 1, "h_d": 5, "bound": 11}),
+        ),
+        # Betti numbers, entries of h and Green bounds are never negative
+        (
+            Certificate(R_CANCEL, 2, {"beta1_d2": -1, "beta2_d2": 0}),
+            Certificate(R_CANCEL, 2, {"beta1_d2": 0, "beta2_d2": 1}),
+        ),
+        (
+            Certificate(
+                R_33, 3, {"beta1_d2": 1, "beta2_d2": 1, "h_dm1": -1, "h_d": 5, "h_dp1": 4}
+            ),
+            Certificate(
+                R_33, 3, {"beta1_d2": 1, "beta2_d2": 1, "h_dm1": 5, "h_d": 5, "h_dp1": 4}
+            ),
+        ),
+        (
+            Certificate(R_42, 3, {"delta_hd": 0, "delta_hd1": 1, "green_hd1": -4}),
+            Certificate(R_42, 3, {"delta_hd": 0, "delta_hd1": 1, "green_hd1": 2}),
+        ),
     ],
-    ids=["R-44A-bound", "R-AS-bound", "R-LEVEL-DIFF-d"],
+    ids=[
+        "R-44A-bound",
+        "R-AS-bound",
+        "R-LEVEL-DIFF-d",
+        "R-CANCEL-negative-d",
+        "R-CANCEL-d",
+        "R-44A-d",
+        "R-CANCEL-beta",
+        "R-33-h",
+        "R-42-green",
+    ],
 )
-def test_replay_rejects_quantities_d_does_not_fix(rule, d, quantities):
-    # d fixes R-44A's and R-AS's bound and R-LEVEL-DIFF's socle degree, so
-    # a certificate that breaks that relation proves nothing
-    assert not replay_certificate(Certificate(rule, d, quantities))
-    if rule == R_LEVEL_DIFF:
-        honest = Certificate(rule, len(quantities) - 1, quantities)
-    else:
-        bound = 3 * d + 2 if rule == R_44A else 2 * d + 3
-        honest = Certificate(rule, d, {**quantities, "h_d": bound, "bound": bound})
+def test_replay_rejects_quantities_d_does_not_fix(forged, honest):
+    # d fixes R-44A's and R-AS's bound and R-LEVEL-DIFF's socle degree, and
+    # no h-vector gives an obstruction below d = 2 or a negative quantity
+    # other than a delta, so a certificate that breaks either proves nothing
+    assert not replay_certificate(forged)
     assert replay_certificate(honest)
 
 
@@ -483,12 +527,11 @@ def test_pure_o_sequences_are_never_not_level(w):
     h = tuple(sum(1 for d in standard if sum(d) == i) for i in range(s + 1))
     assume(h[1] == 3)
     assert classify(HVector(h)).kind != NOT_LEVEL, (h, w)
-    # the monomial layer and the oracle read the same h and socle off I
+    # the monomial layer reads h, and the oracle the socle, off I
     ideal = MonomialIdeal(
         m for t in range(s + 2) for m in monomials_of_degree(t) if m not in standard
     )
     assert quotient_hf(ideal, s + 1) == h + (0,), w
-    assert socle_dims(ideal) == {s: len(w)}, w
     direct = oracle.colon_and_socle_dims(ideal, s + 1)
     assert {t: n for t, (_, n) in enumerate(direct) if n} == {s: len(w)}, w
 

