@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 
 from . import oracle
-from .binomials import green_bound, macaulay_bound, macaulay_expansion
+from .binomials import _CACHE_ENTRIES, green_bound, macaulay_bound, macaulay_expansion
 from .errors import ConsistencyError, _integer
 from .hvectors import HVector, _hvector, require_codim3
 from .monomials import MonomialIdeal, _ideal, lex_segment_ideal, quotient_hf
@@ -55,12 +55,7 @@ def ek_betti(ideal: MonomialIdeal) -> Columns:
     return b0, b1, b2
 
 
-# Sweeps meet the same (h_{g-1}, h_g, g) again and again; a fixed bound
-# keeps a long one at large s or cap from growing memory without limit.
-_COLUMNS = 1 << 16
-
-
-@lru_cache(maxsize=_COLUMNS)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _lex_column(h_prev: int, h_g: int, g: int) -> tuple[int, int, int]:
     """(beta_{0,g}, beta_{1,g+1}, beta_{2,g+2}) added by the lex ideal's
     minimal generators of degree g >= 2, from h_{g-1} and h_g alone.

@@ -87,7 +87,13 @@ def shift(expansion: BinomialExpansion, a: int, b: int) -> int:
     return sum(binomial(top + a, idx + b) for top, idx in expansion.terms)
 
 
-@lru_cache(maxsize=None)
+# The bound of every cache here and of betti._lex_column: sweeps meet the
+# same arguments again and again, and a fixed bound keeps a long one at
+# large s or cap from growing memory without limit.
+_CACHE_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def macaulay_bound(h: int, d: int) -> int:
     """Largest legal value in degree d+1 after h in degree d (tops and indices up by 1).
 
@@ -96,7 +102,7 @@ def macaulay_bound(h: int, d: int) -> int:
     return shift(macaulay_expansion(h, d), 1, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def green_bound(h: int, d: int) -> int:
     """Restriction of h in degree d to a general hyperplane (tops down by 1).
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .binomials import binomial, green_bound, macaulay_bound
 from .hvectors import HVector, _hvector, growth_violation, require_codim3
@@ -32,17 +32,43 @@ R_44A = "R-44A"
 R_AS = "R-AS"
 R_LEVEL_DIFF = "R-LEVEL-DIFF"
 
-# Each obstruction rule and the names of the integers its certificate
-# stores, in the order they are printed.  R-LEVEL-DIFF is not here: it
-# stores the first difference of h, one name per entry.
-RULES: dict[str, tuple[str, ...]] = {
-    R_CANCEL: ("beta1_d2", "beta2_d2"),
-    R_31: ("beta1_d2", "beta2_d2", "beta2_d3"),
-    R_33: ("beta1_d2", "beta2_d2", "h_dm1", "h_d", "h_dp1"),
-    R_37: ("beta1_d2", "beta2_d2", "delta_hd", "delta_hd1"),
-    R_42: ("delta_hd", "delta_hd1", "green_hd1"),
-    R_44A: ("delta_hd", "delta_hd1", "h_d", "bound"),
-    R_AS: ("delta_hd", "delta_hd1", "h_d", "bound"),
+# Each obstruction rule: the names of the integers its certificate stores,
+# in the order they are printed, and holds(d, *values), the rule's
+# inequality on d and those integers, its parameters named after them, which
+# the replay evaluates.  R-LEVEL-DIFF is not here: it stores the first
+# difference of h.
+RULES: dict[str, tuple[tuple[str, ...], Callable[..., bool]]] = {
+    R_CANCEL: (("beta1_d2", "beta2_d2"), lambda d, beta1_d2, beta2_d2: beta2_d2 > beta1_d2),
+    R_31: (
+        ("beta1_d2", "beta2_d2", "beta2_d3"),
+        lambda d, beta1_d2, beta2_d2, beta2_d3: beta1_d2 == beta2_d2 > 0 and beta2_d3 > 0,
+    ),
+    R_33: (
+        ("beta1_d2", "beta2_d2", "h_dm1", "h_d", "h_dp1"),
+        lambda d, beta1_d2, beta2_d2, h_dm1, h_d, h_dp1: beta1_d2 == beta2_d2 > 0
+        and not h_dm1 == h_d == h_dp1 == d + 1
+        and not h_dm1 < h_d < h_dp1,
+    ),
+    R_37: (
+        ("beta1_d2", "beta2_d2", "delta_hd", "delta_hd1"),
+        lambda d, beta1_d2, beta2_d2, delta_hd, delta_hd1: beta1_d2 == beta2_d2 > 0
+        and 0 < delta_hd and 0 < delta_hd1 and delta_hd != delta_hd1,
+    ),
+    R_42: (
+        ("delta_hd", "delta_hd1", "green_hd1"),
+        lambda d, delta_hd, delta_hd1, green_hd1: delta_hd == 0
+        and delta_hd1 > 0 and green_hd1 <= 2 * delta_hd1,
+    ),
+    R_44A: (
+        ("delta_hd", "delta_hd1", "h_d", "bound"),
+        lambda d, delta_hd, delta_hd1, h_d, bound: delta_hd == 0 < delta_hd1
+        and h_d <= bound == 3 * d + 2,
+    ),
+    R_AS: (
+        ("delta_hd", "delta_hd1", "h_d", "bound"),
+        lambda d, delta_hd, delta_hd1, h_d, bound: delta_hd < 0 == delta_hd1
+        and h_d <= bound == 2 * d + 3,
+    ),
 }
 
 NOT_LEVEL_RULES = tuple(RULES)
@@ -56,8 +82,8 @@ UNKNOWN = "Unknown"
 class Certificate:
     """A fired rule, its position d, and the integers it compared.
 
-    ``quantities`` is a mapping or (name, value) pairs, as :func:`classify`
-    passes ``zip(RULES[rule], values)``; anything else raises ValueError.
+    ``quantities`` is a mapping or (name, value) pairs (:func:`classify` zips
+    a ``RULES`` row's names with its values); anything else raises ValueError.
     The certificate keeps a read-only view of its own dict, so it cannot
     change after it is made.  Pickling and ``copy.deepcopy`` go through a
     plain dict; ``dataclasses.asdict`` cannot copy the view, so use
@@ -117,15 +143,15 @@ def _delta_names(n: int) -> tuple[str, ...]:
 def replay_certificate(cert: Certificate) -> bool:
     """Re-evaluate a certificate's inequality from its stored quantities.
 
-    Raises ValueError for an unknown rule, or when the quantity names are not
-    exactly the rule's: ``RULES[rule]``, or ``delta_0`` .. ``delta_{n-1}``
-    for R-LEVEL-DIFF.  Their order does not matter, so a certificate read
-    back from sorted JSON replays too.  Then a non-integer ``d`` or quantity
-    raises ValueError naming it; True counts as 1.  ``bound`` must be 3d+2
-    for R-44A and 2d+3 for R-AS, and R-LEVEL-DIFF's ``d`` its last delta
-    index, the socle degree; an obstruction certificate must have d >= 2 and
-    no negative quantity but a delta; otherwise the replay is False.
-    Anything but a Certificate raises ValueError naming its type.
+    Raises ValueError for anything but a Certificate, an unknown rule, or
+    quantity names that are not exactly the rule's: its ``RULES`` row's, or
+    ``delta_0`` .. ``delta_{n-1}`` for R-LEVEL-DIFF, in any order, so a
+    certificate read back from sorted JSON replays too.  Then a non-integer
+    ``d`` or quantity raises ValueError naming it; True counts as 1.  An
+    obstruction certificate with d < 2 or a negative quantity but a delta
+    replays False, and otherwise its row's ``holds`` decides, which fixes
+    ``bound`` at 3d+2 for R-44A and 2d+3 for R-AS.  R-LEVEL-DIFF's ``d`` must
+    be its last delta index, the socle degree.
     """
     if not isinstance(cert, Certificate):
         raise ValueError(f"cert must be a Certificate, got {type(cert).__name__}")
@@ -133,48 +159,20 @@ def replay_certificate(cert: Certificate) -> bool:
     if cert.rule == R_LEVEL_DIFF:
         names = _delta_names(len(q))
     elif cert.rule in RULES:
-        names = RULES[cert.rule]
+        names, holds = RULES[cert.rule]
     else:
         raise ValueError(f"unknown rule {cert.rule!r}")
-    if sorted(q) != sorted(names):
+    if q.keys() != set(names):
         raise ValueError(
             f"{cert.rule} certificate stores {sorted(q)}, expected {sorted(names)}"
         )
     d = _integer(cert.d, "d")
     q = {name: _integer(value, name) for name, value in q.items()}
-    # obstruction rules fire only at d >= 2; only first differences can be < 0
-    negative = any(v < 0 for name, v in q.items() if not name.startswith("delta"))
-    if negative or (d < 2 and cert.rule != R_LEVEL_DIFF):
-        return False
-    if cert.rule == R_CANCEL:
-        return q["beta2_d2"] > q["beta1_d2"]
-    if cert.rule == R_31:
-        return q["beta1_d2"] == q["beta2_d2"] > 0 and q["beta2_d3"] > 0
-    if cert.rule == R_33:
-        equal_case = q["h_dm1"] == q["h_d"] == q["h_dp1"] == d + 1
-        increasing = q["h_dm1"] < q["h_d"] < q["h_dp1"]
-        return (
-            q["beta1_d2"] == q["beta2_d2"] > 0 and not equal_case and not increasing
-        )
-    if cert.rule == R_37:
-        return (
-            q["beta1_d2"] == q["beta2_d2"] > 0
-            and 0 < q["delta_hd"]
-            and 0 < q["delta_hd1"]
-            and q["delta_hd"] != q["delta_hd1"]
-        )
-    if cert.rule == R_42:
-        return (
-            q["delta_hd"] == 0
-            and q["delta_hd1"] > 0
-            and q["green_hd1"] <= 2 * q["delta_hd1"]
-        )
-    if cert.rule == R_44A:
-        return q["delta_hd"] == 0 < q["delta_hd1"] and q["h_d"] <= q["bound"] == 3 * d + 2
-    if cert.rule == R_AS:
-        return q["delta_hd"] < 0 == q["delta_hd1"] and q["h_d"] <= q["bound"] == 2 * d + 3
     if cert.rule == R_LEVEL_DIFF:
         return d == len(names) - 1 and growth_violation([q[n] for n in names]) is None
+    # obstruction rules fire only at d >= 2; only first differences can be < 0
+    signs = all(v >= 0 for name, v in q.items() if not name.startswith("delta"))
+    return d >= 2 and signs and holds(d, **q)
 
 
 def classify(h: HVector) -> Verdict:
@@ -202,7 +200,7 @@ def classify(h: HVector) -> Verdict:
     fired: list[Certificate] = []
 
     def fire(rule: str, d: int, *values: int) -> None:
-        fired.append(Certificate(rule, d, zip(RULES[rule], values)))
+        fired.append(Certificate(rule, d, zip(RULES[rule][0], values)))
 
     # Delta h = (1, 2, h_2 - 3, ...) is an O-sequence: h_2 <= 6 caps its
     # degree-2 entry, and the loop checks each later step

@@ -21,13 +21,8 @@ from levelalg.betti import _numerator_identity, lex_betti
 from levelalg.classify import (
     LEVEL,
     NOT_LEVEL,
-    R_31,
-    R_33,
-    R_37,
-    R_42,
     R_44A,
     R_AS,
-    R_CANCEL,
     R_LEVEL_DIFF,
     RULES,
     UNKNOWN,
@@ -489,65 +484,46 @@ def finite_colength_ideals(draw, max_degree=6):
 
 
 def classify_by_columns(h):
-    """The two-pass slow twin of :func:`~levelalg.classify.classify`: the
-    :func:`~levelalg.betti.lex_betti` columns first, then the rule loop.
+    """The declarative slow twin of :func:`~levelalg.classify.classify`.
 
-    Classify a codimension-3 O-sequence as Level, NotLevel, or Unknown.
-
-    Obstruction rules run at every interior position 2 <= d <= s-1 (the two
-    end-restricted rules only at d = s-1) and all firing certificates are
-    collected.  Betti input is the integer columns of
-    :func:`~levelalg.betti.lex_betti`, read by index.  Computing them
-    validates h in the same pass (entries are integers by construction of
-    :class:`~levelalg.hvectors.HVector`): an invalid h raises the
-    ``require_codim3`` ValueError, and a valid one is never checked twice.
-    The same loop over d tracks whether the first difference grows within
-    the Macaulay bound, which decides R-LEVEL-DIFF when nothing fires.
+    At each 2 <= d <= s-1 it builds every quantity of the README's
+    certificate schema from the :func:`~levelalg.betti.lex_betti` columns,
+    read by index, and h, and fires each rule whose ``RULES`` row holds on
+    them, in ``RULES`` order; R-44A and R-AS only at d = s-1, with ``bound``
+    3d+2 and 2d+3.  Level needs no firing and ``h.is_differentiable()``.  So
+    :func:`classify` must fire exactly the rules whose certificate replays.
     """
-    _, b1, b2 = lex_betti(h)
+    _, b1, b2 = lex_betti(h)  # validates h
     e = h.entries
     s = h.socle_degree
     if s < 2:
         raise ValueError("classification requires socle degree at least 2")
 
-    fired: list[Certificate] = []
-
-    def fire(rule: str, d: int, *values: int) -> None:
-        fired.append(Certificate(rule, d, zip(RULES[rule], values)))
-
-    # Delta h = (1, 2, h_2 - 3, ...) is an O-sequence: h_2 <= 6 caps its
-    # degree-2 entry, and the loop checks each later step
-    differentiable = e[2] >= 3
+    fired = []
     for d in range(2, s):  # d + 1 <= s, so e[d + 1] needs no zero padding
-        beta1, beta2, beta2_next = b1[d + 2], b2[d + 2], b2[d + 3]
-        h_dm1, h_d, h_dp1 = e[d - 1], e[d], e[d + 1]
-        delta_hd, delta_hd1 = h_d - h_dm1, h_dp1 - h_d
-        if differentiable:
-            differentiable = 0 <= delta_hd1 <= macaulay_bound(delta_hd, d)
-
-        if beta2 > beta1:
-            fire(R_CANCEL, d, beta1, beta2)
-        elif beta1 == beta2 > 0:
-            if beta2_next > 0:
-                fire(R_31, d, beta1, beta2, beta2_next)
-            increasing = h_dm1 < h_d < h_dp1
-            if not increasing and not (h_dm1 == h_d == h_dp1 == d + 1):
-                fire(R_33, d, beta1, beta2, h_dm1, h_d, h_dp1)
-            if increasing and delta_hd != delta_hd1:
-                fire(R_37, d, beta1, beta2, delta_hd, delta_hd1)
-        if h_dm1 == h_d < h_dp1:
-            green_next = green_bound(h_dp1, d + 1)
-            if green_next <= 2 * delta_hd1:
-                fire(R_42, d, delta_hd, delta_hd1, green_next)
-        if d + 1 == s:
-            if h_dm1 == h_d < h_dp1 and h_d <= 3 * d + 2:
-                fire(R_44A, d, delta_hd, delta_hd1, h_d, 3 * d + 2)
-            if h_dm1 > h_d == h_dp1 and h_d <= 2 * d + 3:
-                fire(R_AS, d, delta_hd, delta_hd1, h_d, 2 * d + 3)
+        quantities = {
+            "beta1_d2": b1[d + 2],
+            "beta2_d2": b2[d + 2],
+            "beta2_d3": b2[d + 3],
+            "h_dm1": e[d - 1],
+            "h_d": e[d],
+            "h_dp1": e[d + 1],
+            "delta_hd": e[d] - e[d - 1],
+            "delta_hd1": e[d + 1] - e[d],
+            "green_hd1": green_bound(e[d + 1], d + 1),
+        }
+        for rule, (names, holds) in RULES.items():
+            if rule in (R_44A, R_AS):
+                if d != s - 1:
+                    continue
+                quantities["bound"] = 3 * d + 2 if rule == R_44A else 2 * d + 3
+            values = [quantities[name] for name in names]
+            if holds(d, *values):
+                fired.append(Certificate(rule, d, zip(names, values)))
 
     if fired:
         return Verdict(NOT_LEVEL, tuple(fired))
-    if differentiable:
+    if h.is_differentiable():
         quantities = {f"delta_{i}": value for i, value in enumerate(h.first_difference())}
         return Verdict(LEVEL, (Certificate(R_LEVEL_DIFF, s, quantities),))
     return Verdict(UNKNOWN, ())

@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import pickle
 from dataclasses import replace
@@ -25,7 +26,7 @@ from levelalg import (
     quotient_hf,
     replay_certificate,
 )
-from levelalg import betti, hvectors, oracle
+from levelalg import betti, binomials, hvectors, oracle
 from levelalg.classify import (
     LEVEL,
     NOT_LEVEL,
@@ -261,9 +262,38 @@ def test_every_certificate_replays_under_its_rule_names(h):
         if cert.rule == R_LEVEL_DIFF:
             names = tuple(f"delta_{i}" for i in range(h.socle_degree + 1))
         else:
-            names = RULES[cert.rule]
+            names, _ = RULES[cert.rule]
         assert tuple(cert.quantities) == names, cert
         assert replay_certificate(cert), cert
+
+
+def test_replay_truth_table_is_pinned():
+    # every rule's replay over small quantities, bound's fixed values among
+    # them, at d = 0..4: a change to an inequality, a fixed value or the
+    # d >= 2 and sign checks moves the digest
+    digest = hashlib.blake2b(digest_size=16)
+    small = range(-1, 4)
+    for rule, (names, _) in RULES.items():
+        for d in range(5):
+            bounds = sorted({*small, 3 * d + 2, 2 * d + 3})
+            domains = [bounds if name == "bound" else small for name in names]
+            for values in product(*domains):
+                cert = Certificate(rule, d, zip(names, values))
+                digest.update(b"1" if replay_certificate(cert) else b"0")
+    for k in range(1, 5):
+        names = [f"delta_{i}" for i in range(k)]
+        for d in range(5):
+            for values in product(small, repeat=k):
+                cert = Certificate(R_LEVEL_DIFF, d, zip(names, values))
+                digest.update(b"1" if replay_certificate(cert) else b"0")
+    assert digest.hexdigest() == "5144c5d3e2ffb62c27716fafa847eb2c"
+
+
+def test_every_rule_row_takes_d_and_its_quantities_in_name_order():
+    for rule, (names, holds) in RULES.items():
+        params = inspect.signature(holds).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), rule
+        assert [p.name for p in params] == ["d", *names], rule
 
 
 def _backing(cert):
@@ -279,7 +309,7 @@ def test_certificate_quantities_are_read_only():
     pairs = [["beta1_d2", 2], ["beta2_d2", 2], ["beta2_d3", 1]]
     certs = [
         Certificate(R_31, 5, quantities)
-        for quantities in (source, zip(RULES[R_31], (2, 2, 1)), pairs)
+        for quantities in (source, zip(RULES[R_31][0], (2, 2, 1)), pairs)
     ]
     source["beta2_d3"] = 0  # each certificate holds its own copy
     pairs[2][1] = 0
@@ -390,8 +420,13 @@ def test_classify_matches_two_pass_twin_exhaustive(s):
     for h in reversed(vectors):
         _assert_matches_two_pass_twin(h)
     info = betti._lex_column.cache_info()
-    assert info.maxsize == betti._COLUMNS
+    assert info.maxsize == binomials._CACHE_ENTRIES
     assert 0 < info.currsize <= info.maxsize
+    # the two bound caches share that one finite bound
+    for bound in (binomials.macaulay_bound, binomials.green_bound):
+        info = bound.cache_info()
+        assert info.maxsize == binomials._CACHE_ENTRIES
+        assert 0 < info.currsize <= info.maxsize
 
 
 @settings(max_examples=200, deadline=None)
